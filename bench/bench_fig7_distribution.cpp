@@ -14,12 +14,13 @@ int main() {
 
   const std::size_t samples = std::max<std::size_t>(scale.eval_seqs * 20, 60);
   util::Rng rng(scale.seed ^ 0xF16ULL);
+  sim::SchedulingEnv probe(trace.processors());
   std::vector<double> values;
   values.reserve(samples);
   for (std::size_t i = 0; i < samples; ++i) {
     const auto seq = trace.sample_sequence(rng, 256);
-    values.push_back(rl::sjf_metric(seq, trace.processors(),
-                                    sim::Metric::BoundedSlowdown));
+    values.push_back(
+        rl::sjf_metric(probe, seq, sim::Metric::BoundedSlowdown));
   }
 
   const auto s = util::summarize(values);

@@ -26,6 +26,9 @@
 //                   (the 100k point: mostly-idle sessions must be ~free —
 //                   envs attach lazily at admission)
 //   sock_ol_s<N>    open-loop arrivals through the socket
+//   ov_s<N>         arrivals at 1.5x the capacity of a closed burst
+//                   through the same dispatcher count, into a bounded
+//                   shed-oldest queue: must shed, with exact accounting
 //
 // Self-checks before timing (a perf number from a broken daemon is
 // meaningless) — all three report as booleans in --json and any violation
@@ -856,12 +859,22 @@ int main(int argc, char** argv) {
       // with shed-oldest admission. Gated on graceful degradation: sheds
       // happen (kResourceExhausted), accepted-request p99 stays bounded by
       // the queue depth, and completed + shed + cancelled == submitted.
+      // The capacity comes from a closed burst through the same number of
+      // started dispatchers as this row: the single-thread drain() figure
+      // behind the open-loop rate undershoots a multi-dispatcher daemon,
+      // and 1.5x of it can fail to overload one at all.
       const std::size_t ov_sessions = opt.sessions.front();
       const std::size_t ov_requests =
           std::min<std::size_t>(opt.ol_requests, 10000);
+      const LoadResult ov_closed = run_closed_sharded(
+          policies, opt.batch, opt.dispatchers,
+          session_sequences(trace, ov_sessions, opt.jobs, opt.seed), procs,
+          nullptr);
+      const double ov_capacity_rps =
+          ov_closed.dps / static_cast<double>(opt.jobs);
       LoadResult r = run_overload(policies, opt.batch, opt.dispatchers,
                                   seq_pool, procs, ov_sessions, ov_requests,
-                                  1.5 * capacity_rps, opt.seed);
+                                  1.5 * ov_capacity_rps, opt.seed);
       r.name = "ov_s" + std::to_string(ov_sessions);
       print_row(r);
       std::fprintf(stderr,

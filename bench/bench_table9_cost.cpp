@@ -67,8 +67,9 @@ void BM_RlDecision(benchmark::State& state) {
   const auto policy =
       rl::make_policy(rl::PolicyKind::Kernel, rl::kMaxObservable, rng);
   const rl::ObservationBuilder builder;
+  rl::Observation obs;
   for (auto _ : state) {
-    const auto obs = builder.build(env);
+    builder.build_into(env, obs);
     const auto logits = policy->logits(obs);
     benchmark::DoNotOptimize(nn::argmax_masked(logits, obs.mask));
   }

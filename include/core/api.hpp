@@ -1,21 +1,18 @@
 #pragma once
-// The redesigned request/response contract of the public API. One request
-// struct replaces the façade's four positional-argument overloads
-// (schedule / schedule_on / schedule_many / schedule_stream), and the same
-// structs are the wire contract of the serve:: daemon — an in-process call
-// and a daemon request describe work identically.
+// The request/response contract of the public API. The same structs are
+// the wire contract of the serve:: daemon — an in-process call and a
+// daemon request describe work identically.
 //
 // A ScheduleRequest names exactly ONE job source:
-//   * jobs       — one materialized sequence (old schedule/schedule_on)
+//   * jobs       — one materialized sequence
 //   * sequences  — a batch of sequences swept with batched inference
-//                  (old schedule_many)
 //   * stream     — a trace::JobSource pulled in chunk_jobs batches with
-//                  O(backlog + chunk) memory (old schedule_stream)
-// plus the knobs the overloads used to take positionally: processors
-// (0 = caller default: the training cluster in-process, the session's
-// cluster in the daemon, the stream's own recorded cluster for streams)
-// and backfill. Results come back as a ScheduleResult (one RunResult per
-// scheduled sequence) behind a Status instead of an ad-hoc exception.
+//                  O(backlog + chunk) memory
+// plus processors (0 = caller default: the training cluster in-process,
+// the session's cluster in the daemon, the stream's own recorded cluster
+// for streams) and backfill. Results come back as a ScheduleResult (one
+// RunResult per scheduled sequence) behind a Status instead of an ad-hoc
+// exception.
 
 #include <cstddef>
 #include <vector>

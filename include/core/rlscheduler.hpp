@@ -7,18 +7,11 @@
 // (materialized sequence, batch of sequences, or a streamed
 // trace::JobSource), the cluster size, backfilling, and the streaming
 // chunk; errors come back as core::Status instead of ad-hoc exceptions.
-// The pre-redesign overload set (schedule/schedule_on/schedule_many/
-// schedule_stream) survives as deprecated inline shims over the same
-// entry point with BITWISE-identical results (tests/test_api_facade.cpp
-// gates this across the equivalence matrix); see README "Migrating off
-// the façade overloads".
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/api.hpp"
@@ -72,51 +65,6 @@ class RLScheduler {
   /// (e.g. out-of-order streamed submits) come back as a non-OK Status.
   StatusOr<ScheduleResult> schedule(const ScheduleRequest& request) const;
 
-  // --- deprecated façade overloads -------------------------------------
-  // Thin shims over schedule(const ScheduleRequest&): same engine calls,
-  // bitwise-identical results. They keep the historical throwing contract
-  // by rethrowing a non-OK Status as std::runtime_error.
-
-  [[deprecated("build a core::ScheduleRequest{.jobs=&seq} instead")]]
-  sim::RunResult schedule(const std::vector<trace::Job>& seq,
-                          bool backfill) const {
-    ScheduleRequest req;
-    req.jobs = &seq;
-    req.backfill = backfill;
-    return take_single(schedule(req));
-  }
-
-  [[deprecated("build a core::ScheduleRequest with .processors instead")]]
-  sim::RunResult schedule_on(const std::vector<trace::Job>& seq,
-                             int processors, bool backfill) const {
-    ScheduleRequest req;
-    req.jobs = &seq;
-    req.processors = processors;
-    req.backfill = backfill;
-    return take_single(schedule(req));
-  }
-
-  [[deprecated("build a core::ScheduleRequest{.sequences=&seqs} instead")]]
-  std::vector<sim::RunResult> schedule_many(
-      const std::vector<std::vector<trace::Job>>& seqs, int processors,
-      bool backfill) const {
-    ScheduleRequest req;
-    req.sequences = &seqs;
-    req.processors = processors;
-    req.backfill = backfill;
-    return std::move(take(schedule(req)).runs);
-  }
-
-  [[deprecated("build a core::ScheduleRequest{.stream=&source} instead")]]
-  sim::RunResult schedule_stream(trace::JobSource& source, bool backfill,
-                                 std::size_t chunk_jobs = 4096) const {
-    ScheduleRequest req;
-    req.stream = &source;
-    req.backfill = backfill;
-    req.chunk_jobs = chunk_jobs;
-    return take_single(schedule(req));
-  }
-
   void save(const std::string& path) const;
   void load(const std::string& path);
 
@@ -125,14 +73,6 @@ class RLScheduler {
   const RLSchedulerConfig& config() const { return cfg_; }
 
  private:
-  static ScheduleResult take(StatusOr<ScheduleResult>&& r) {
-    if (!r.ok()) throw std::runtime_error(r.status().to_string());
-    return std::move(r).value();
-  }
-  static sim::RunResult take_single(StatusOr<ScheduleResult>&& r) {
-    return take(std::move(r)).runs.front();
-  }
-
   RLSchedulerConfig cfg_;
   int processors_ = 0;
   std::unique_ptr<rl::PPOTrainer> trainer_;

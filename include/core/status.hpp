@@ -1,12 +1,9 @@
 #pragma once
 // Status-based error model for the public API (core::RLScheduler's request
-// entry point and the serve:: daemon speak the same vocabulary). The old
-// façade overloads reported every failure as an ad-hoc std::runtime_error
-// thrown from arbitrary depth; the redesigned entry points return a Status
-// (or StatusOr<T>) instead, so in-process callers and the daemon's wire
-// protocol share one enumerable error surface. The deprecated shims keep
-// the throwing contract by converting a non-OK Status back into
-// std::runtime_error.
+// entry point and the serve:: daemon speak the same vocabulary). Entry
+// points return a Status (or StatusOr<T>) instead of throwing from
+// arbitrary depth, so in-process callers and the daemon's wire protocol
+// share one enumerable error surface.
 
 #include <cstdint>
 #include <cstdio>

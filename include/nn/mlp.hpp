@@ -21,8 +21,6 @@ class FlatMlp {
   explicit FlatMlp(std::vector<std::size_t> sizes);
 
   std::size_t param_count() const { return param_count_; }
-  std::size_t input_size() const { return sizes_.front(); }
-  std::size_t output_size() const { return sizes_.back(); }
 
   /// He-normal init; the output layer is scaled by `out_scale` (a small
   /// value keeps the initial policy near-uniform).

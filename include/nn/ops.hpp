@@ -444,8 +444,6 @@ class Adam {
   Adam(std::size_t n, float lr)
       : lr_(lr), m_(n, 0.0f), v_(n, 0.0f) {}
 
-  void set_lr(float lr) { lr_ = lr; }
-
   void step(float* params, const float* grad) {
     ++t_;
     const float b1t = 1.0f - std::pow(0.9f, static_cast<float>(t_));

@@ -53,18 +53,9 @@ class BatchedEvaluator {
   void evaluate(const std::vector<std::vector<trace::Job>>& seqs,
                 int processors, bool backfill, sim::RunResult* out);
 
-  std::size_t batch() const { return batch_; }
-
-  /// Route decisions through the policy's quantized forward. No-op in
-  /// effect unless the policy has quantization enabled; off by default so
-  /// existing sweeps are bitwise untouched.
-  void set_use_quant(bool on) { use_quant_ = on; }
-  bool use_quant() const { return use_quant_; }
-
  private:
   const Policy& policy_;
   std::size_t batch_;
-  bool use_quant_ = false;
   ObservationBuilder builder_;
   std::vector<sim::SchedulingEnv> envs_;  ///< pooled across calls
   std::vector<Observation> obs_;

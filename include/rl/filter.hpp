@@ -13,10 +13,13 @@
 
 namespace rlsched::rl {
 
-/// Metric of a plain SJF (no backfill) rollout of `seq` — the paper's cheap
-/// difficulty probe for a candidate sequence.
-double sjf_metric(const std::vector<trace::Job>& seq, int processors,
-                  sim::Metric metric);
+/// Metric of a plain SJF rollout of `seq` on `probe` — the paper's cheap
+/// difficulty probe for a candidate sequence. `probe` fixes the cluster
+/// (construct it with the trace's processors and the default, no-backfill
+/// EnvConfig) and is reused across calls so that, once its capacity is
+/// warm, probing a same-length sequence performs no heap allocation.
+double sjf_metric(sim::SchedulingEnv& probe,
+                  const std::vector<trace::Job>& seq, sim::Metric metric);
 
 struct FilterRange {
   double lo = 0.0;  ///< exclusive (median)

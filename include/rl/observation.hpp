@@ -37,21 +37,11 @@ using Logits = std::array<float, kMaxObservable>;
 
 class ObservationBuilder {
  public:
-  /// Snapshot the env's observable window. Returns by value (arrays only —
-  /// no heap traffic); padding slots are zeroed and masked out. Templated
-  /// over the core so the differential tests can observe the frozen
-  /// ReferenceEnv through the exact same feature code.
-  template <class Env>
-  Observation build(const Env& env) const {
-    Observation obs;
-    build_into(env, obs);
-    return obs;
-  }
-
-  /// Snapshot directly into caller-owned storage (e.g. a rollout slot or a
-  /// batch-packing loop) — same result as build(), one copy fewer.
-  template <class Env>
-  void build_into(const Env& env, Observation& out) const {
+  /// Snapshot the env's observable window into caller-owned storage (a
+  /// rollout slot, a batch-packing slab, a loop-local Observation); padding
+  /// slots are zeroed and masked out. Inline: it runs on every replay,
+  /// serve and PPO decision.
+  void build_into(const sim::SchedulingEnv& env, Observation& out) const {
     out.features.fill(0.0f);
     out.mask.fill(0);
 

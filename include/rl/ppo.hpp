@@ -162,6 +162,9 @@ class PPOTrainer {
   void update_policy();
   void update_value();
   double reward_of(const sim::RunResult& r) const;
+  /// Argmax rollout of the current policy from `env`'s reset state — the
+  /// one loop behind evaluate() and evaluate_stream().
+  sim::RunResult greedy(sim::SchedulingEnv& env) const;
 
   trace::Trace trace_;
   PPOConfig cfg_;

@@ -212,7 +212,6 @@ class ExactWindowPolicy {
     double bound_sum = 0.0;     ///< sum of window lower bounds
   };
   const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
   void maybe_replan();

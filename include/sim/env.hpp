@@ -21,8 +21,8 @@
 //  * all metric accounting (bounded slowdown, utilization, wait, fairness)
 //    is incremental at job start — results are O(users) to read, not O(n);
 //  * every schedule, metric, and trained parameter is BITWISE IDENTICAL
-//    to the retained naive core (sim/reference_env.hpp): the indexes
-//    reorganize the search, never the comparisons — enforced forever by
+//    to the retained naive seed core: the indexes reorganize the search,
+//    never the comparisons — enforced forever by
 //    tests/test_sched_core_equiv.cpp (same determinism discipline as
 //    RLSCHED_WORKERS/RLSCHED_BATCH);
 //  * ingestion is pluggable: reset() with a materialized vector keeps the

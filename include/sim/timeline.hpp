@@ -24,7 +24,8 @@
 //
 // Determinism: reservation() accumulates equal-end-time completions as one
 // GROUP before testing the capacity crossing — order-free semantics shared
-// bitwise with ReferenceEnv::reservation() (see reference_env.hpp).
+// bitwise with the naive seed core's reservation scan
+// (tests/test_sched_core_equiv.cpp).
 //
 // Allocation contract: reset(expected) reserves for `expected` inserts;
 // a materialized episode performs zero heap allocation afterwards (the

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -37,10 +36,6 @@ class JobSource {
 
   /// Restart the cursor at the first job.
   virtual void rewind() = 0;
-
-  /// Total job count when known up front (materialized traces); streams
-  /// that would have to scan ahead return nullopt.
-  virtual std::optional<std::size_t> size_hint() const { return std::nullopt; }
 };
 
 /// Table II column set, computed from a trace's jobs.

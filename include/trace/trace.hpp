@@ -5,7 +5,6 @@
 // trace/job.hpp; the streaming counterpart is trace/sharded_reader.hpp.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,9 +34,6 @@ class Trace : public JobSource {
   // --- JobSource: stream the materialized jobs in submit order ---
   std::size_t fetch(std::size_t max_jobs, std::vector<Job>& out) override;
   void rewind() override { cursor_ = 0; }
-  std::optional<std::size_t> size_hint() const override {
-    return jobs_.size();
-  }
   const Job& operator[](std::size_t i) const { return jobs_[i]; }
   const std::vector<Job>& jobs() const { return jobs_; }
 

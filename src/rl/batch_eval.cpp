@@ -57,13 +57,8 @@ void BatchedEvaluator::evaluate(
         builder_.build_into(envs_[alive_[w]], obs_[w]);
         obs_ptr_[w] = &obs_[w];
       }
-      if (use_quant_) {
-        batched_argmax_quant(policy_, obs_ptr_.data(), n, logits_.data(),
-                             actions_.data());
-      } else {
-        batched_argmax(policy_, obs_ptr_.data(), n, logits_.data(),
-                       actions_.data());
-      }
+      batched_argmax(policy_, obs_ptr_.data(), n, logits_.data(),
+                     actions_.data());
       std::size_t keep = 0;
       for (std::size_t w = 0; w < n; ++w) {
         sim::SchedulingEnv& env = envs_[alive_[w]];

@@ -6,11 +6,10 @@
 
 namespace rlsched::rl {
 
-double sjf_metric(const std::vector<trace::Job>& seq, int processors,
-                  sim::Metric metric) {
-  sim::SchedulingEnv env(processors);
-  env.reset(seq);
-  return env
+double sjf_metric(sim::SchedulingEnv& probe,
+                  const std::vector<trace::Job>& seq, sim::Metric metric) {
+  probe.reset(seq);
+  return probe
       .run_priority(sched::sjf_priority(), sim::PriorityKind::TimeInvariant)
       .value(metric);
 }
@@ -19,11 +18,12 @@ FilterRange compute_filter_range(const trace::Trace& trace, sim::Metric metric,
                                  std::size_t seq_len, std::size_t samples,
                                  std::uint64_t seed) {
   util::Rng rng(seed);
+  sim::SchedulingEnv probe(trace.processors());
   std::vector<double> values;
   values.reserve(samples);
   for (std::size_t i = 0; i < samples; ++i) {
     const auto seq = trace.sample_sequence(rng, seq_len);
-    values.push_back(sjf_metric(seq, trace.processors(), metric));
+    values.push_back(sjf_metric(probe, seq, metric));
   }
   const auto s = util::summarize(values);
   return {s.median, 2.0 * s.mean};

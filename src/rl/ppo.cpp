@@ -38,6 +38,7 @@ struct PPOTrainer::Worker {
   std::unique_ptr<Policy> policy;  ///< clone: owns activation scratch
   nn::FlatMlp value_net;           ///< scratch only; params stay shared
   ObservationBuilder builder;
+  sim::SchedulingEnv probe;        ///< trajectory-filter SJF rollouts
 
   // Batch scratch shared by collection (n <= batch lanes) and the update
   // chunks (n <= kGradChunk samples); sized once for the larger of the two.
@@ -51,7 +52,7 @@ struct PPOTrainer::Worker {
 
   Worker(int processors, const sim::EnvConfig& env_cfg, PolicyKind kind,
          std::size_t seq_len, std::size_t batch, std::size_t chunk)
-      : value_net(value_net_sizes()) {
+      : value_net(value_net_sizes()), probe(processors) {
     // The clone's random init is irrelevant — parameters are overwritten
     // from the canonical policy before every fan-out.
     util::Rng init_rng(1);
@@ -172,7 +173,7 @@ void PPOTrainer::collect_group(std::size_t group, std::uint64_t round,
            ++attempt) {
         trace_.sample_sequence_into(w.rngs[k], cfg_.seq_len, w.seqs[k]);
         if (filter_range_.contains(
-                sjf_metric(w.seqs[k], trace_.processors(), cfg_.metric))) {
+                sjf_metric(w.probe, w.seqs[k], cfg_.metric))) {
           break;
         }
       }
@@ -533,17 +534,22 @@ EpochStats PPOTrainer::train_epoch() {
   return stats;
 }
 
-sim::RunResult PPOTrainer::evaluate(const std::vector<trace::Job>& seq,
-                                    int processors, bool backfill) const {
-  sim::SchedulingEnv env(processors, sim::EnvConfig{backfill, kMaxObservable});
-  env.reset(seq);
+sim::RunResult PPOTrainer::greedy(sim::SchedulingEnv& env) const {
+  Observation obs;
   while (!env.done()) {
-    const Observation obs = builder_.build(env);
+    builder_.build_into(env, obs);
     const Logits logits = policy_->logits(obs);
     env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
                                kMaxObservable));
   }
   return env.result();
+}
+
+sim::RunResult PPOTrainer::evaluate(const std::vector<trace::Job>& seq,
+                                    int processors, bool backfill) const {
+  sim::SchedulingEnv env(processors, sim::EnvConfig{backfill, kMaxObservable});
+  env.reset(seq);
+  return greedy(env);
 }
 
 std::vector<sim::RunResult> PPOTrainer::evaluate_batch(
@@ -562,13 +568,7 @@ sim::RunResult PPOTrainer::evaluate_stream(trace::JobSource& source,
                                            std::size_t chunk_jobs) const {
   sim::SchedulingEnv env(processors, sim::EnvConfig{backfill, kMaxObservable});
   env.reset(source, chunk_jobs);
-  while (!env.done()) {
-    const Observation obs = builder_.build(env);
-    const Logits logits = policy_->logits(obs);
-    env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
-                               kMaxObservable));
-  }
-  return env.result();
+  return greedy(env);
 }
 
 void PPOTrainer::save(const std::string& path) const {

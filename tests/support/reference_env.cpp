@@ -1,7 +1,7 @@
-// The frozen naive scheduling core. See include/sim/reference_env.hpp for
-// why this file must stay dumb: it is the differential oracle for the
+// The frozen naive scheduling core. See reference_env.hpp for why this
+// file must stay dumb: it is the differential oracle for the
 // indexed core, not a place for performance work.
-#include "sim/reference_env.hpp"
+#include "reference_env.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -14,17 +14,16 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-ReferenceEnv::ReferenceEnv(int processors, EnvConfig cfg) {
-  reconfigure(processors, cfg);
+ReferenceEnv::ReferenceEnv(int processors, EnvConfig cfg)
+    : processors_(processors), cfg_(cfg) {
+  free_ = processors;
+  if (cfg_.max_observable == 0 || cfg_.max_observable > kMaxObservable) {
+    cfg_.max_observable = kMaxObservable;
+  }
 }
 
 void ReferenceEnv::reset(const std::vector<trace::Job>& jobs) {
   jobs_ = jobs;
-  prepare();
-}
-
-void ReferenceEnv::reset(std::vector<trace::Job>&& jobs) {
-  jobs_ = std::move(jobs);
   prepare();
 }
 

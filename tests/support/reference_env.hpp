@@ -2,12 +2,14 @@
 // The FROZEN naive scheduling core — the seed implementation kept verbatim
 // (O(backlog) pending-queue scans and erases, O(R log R) copy-and-sort
 // reservations) so the indexed core in sim/env.hpp can be differentially
-// gated against it forever:
+// gated against it forever. It is test support, not library code: the
+// rlsched_reference target (tests/CMakeLists.txt) links it into
 //
-//  * tests/test_sched_core_equiv.cpp asserts bitwise-identical RunResults
-//    and per-job start times between SchedulingEnv and ReferenceEnv across
-//    fuzzed traces, every heuristic, the kernel policy, backfill on/off,
-//    materialized and streamed ingestion;
+//  * tests/test_sched_core_equiv.cpp, which asserts bitwise-identical
+//    RunResults and per-job start times between SchedulingEnv and
+//    ReferenceEnv — and, for the kernel policy, equal observation inputs
+//    at every decision — across fuzzed traces, every heuristic, backfill
+//    on/off, materialized and streamed ingestion;
 //  * bench/bench_sched_scaling.cpp measures the >= 10x decisions/sec
 //    speedup the indexed core must deliver over this one on a 64k-job
 //    storm backlog (gated in CI by scripts/perf_gate.py).
@@ -38,17 +40,7 @@ class ReferenceEnv {
  public:
   explicit ReferenceEnv(int processors, EnvConfig cfg = {});
 
-  void reconfigure(int processors, EnvConfig cfg) {
-    processors_ = processors;
-    free_ = processors;
-    cfg_ = cfg;
-    if (cfg_.max_observable == 0 || cfg_.max_observable > kMaxObservable) {
-      cfg_.max_observable = kMaxObservable;
-    }
-  }
-
   void reset(const std::vector<trace::Job>& jobs);
-  void reset(std::vector<trace::Job>&& jobs);
   void reset(trace::JobSource& source, std::size_t chunk_jobs = 4096);
 
   using StartHook = void (*)(void* ctx, const trace::Job& job);
@@ -72,8 +64,6 @@ class ReferenceEnv {
   int processors() const { return processors_; }
   int free_processors() const { return free_; }
   bool done() const { return drained_ && started_ == total_jobs_; }
-  std::size_t total_jobs() const { return total_jobs_; }
-  std::size_t buffered_jobs() const { return jobs_.size(); }
 
   RunResult result() const;
 

@@ -1,13 +1,11 @@
-// API-redesign gate: the deprecated façade overloads (schedule,
-// schedule_on, schedule_many, schedule_stream) are thin shims over the one
-// schedule(const ScheduleRequest&) entry point and must stay
-// BITWISE-identical to it across the whole equivalence matrix — source
-// kind x backfill x processors override. Also pins the Status contract:
+// Public-API gate: the one schedule(const ScheduleRequest&) entry point
+// must give BITWISE-identical results across its equivalent request shapes
+// — a batched request equals its single-sequence requests, a streamed
+// request equals the materialized one, and processors = the trace's own
+// size equals the default-cluster request. Also pins the Status contract:
 // malformed requests come back as kInvalidArgument (with the code name in
-// to_string()), engine rejections surface as a non-OK Status through the
-// new entry and as the historical std::runtime_error through the shims.
+// to_string()) and engine rejections surface as a non-OK Status.
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -76,55 +74,43 @@ int main() {
   std::vector<std::vector<trace::Job>> seqs;
   for (int i = 0; i < 5; ++i) seqs.push_back(trace.sample_sequence(rng, 96));
 
-  // The shims are deprecated on purpose; this test exercises them anyway.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
   for (const bool backfill : {false, true}) {
-    // schedule(seq, backfill) == request{.jobs}
     ScheduleRequest jobs_req;
     jobs_req.jobs = &seq;
     jobs_req.backfill = backfill;
     const auto via_request = model.schedule(jobs_req);
     CHECK(via_request.ok());
     CHECK(via_request.value().runs.size() == 1);
-    CHECK(sim::bitwise_equal(model.schedule(seq, backfill),
+
+    // processors = the trace's own size matches the default-cluster
+    // request.
+    ScheduleRequest on_req = jobs_req;
+    on_req.processors = trace.processors();
+    CHECK(sim::bitwise_equal(model.schedule(on_req).value().run(),
                              via_request.value().run()));
 
-    // schedule_on(seq, P, backfill) == request{.jobs, .processors = P},
-    // and P = the trace's own size matches the default-cluster request.
-    const int procs = trace.processors() / 2;
-    ScheduleRequest on_req = jobs_req;
-    on_req.processors = procs;
-    CHECK(sim::bitwise_equal(model.schedule_on(seq, procs, backfill),
-                             model.schedule(on_req).value().run()));
-    CHECK(sim::bitwise_equal(
-        model.schedule_on(seq, trace.processors(), backfill),
-        via_request.value().run()));
-
-    // schedule_many == request{.sequences}, and each batched run is
-    // bitwise the single-sequence run of that sequence.
-    ScheduleRequest many_req;
-    many_req.sequences = &seqs;
-    many_req.backfill = backfill;
-    const auto many_new = model.schedule(many_req);
-    CHECK(many_new.ok());
-    const auto many_old =
-        model.schedule_many(seqs, trace.processors(), backfill);
-    CHECK(many_old.size() == seqs.size());
-    CHECK(many_new.value().runs.size() == seqs.size());
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
-      CHECK(sim::bitwise_equal(many_old[i], many_new.value().runs[i]));
-      ScheduleRequest one;
-      one.jobs = &seqs[i];
-      one.backfill = backfill;
-      CHECK(sim::bitwise_equal(many_new.value().runs[i],
-                               model.schedule(one).value().run()));
+    // Each batched run is bitwise the single-sequence run of that
+    // sequence, on the default cluster and under a processors override.
+    for (const int procs : {0, trace.processors() / 2}) {
+      ScheduleRequest many_req;
+      many_req.sequences = &seqs;
+      many_req.processors = procs;
+      many_req.backfill = backfill;
+      const auto many = model.schedule(many_req);
+      CHECK(many.ok());
+      CHECK(many.value().runs.size() == seqs.size());
+      for (std::size_t i = 0; i < seqs.size(); ++i) {
+        ScheduleRequest one;
+        one.jobs = &seqs[i];
+        one.processors = procs;
+        one.backfill = backfill;
+        CHECK(sim::bitwise_equal(many.value().runs[i],
+                                 model.schedule(one).value().run()));
+      }
     }
 
-    // schedule_stream == request{.stream}; processors default to the
-    // stream's own cluster, and the streamed run is bitwise the
-    // materialized run of the same jobs.
+    // Processors default to the stream's own cluster, and the streamed run
+    // is bitwise the materialized run of the same jobs.
     auto stream_trace = trace;  // Trace is a JobSource over its own jobs
     ScheduleRequest stream_req;
     stream_req.stream = &stream_trace;
@@ -132,9 +118,6 @@ int main() {
     stream_req.chunk_jobs = 512;
     const auto via_stream = model.schedule(stream_req);
     CHECK(via_stream.ok());
-    CHECK(sim::bitwise_equal(
-        model.schedule_stream(stream_trace, backfill, 512),
-        via_stream.value().run()));
     ScheduleRequest materialized;
     materialized.jobs = &trace.jobs();
     materialized.backfill = backfill;
@@ -178,7 +161,7 @@ int main() {
           StatusCode::kInvalidArgument);
   }
   // Engine rejection from depth (out-of-order streamed submits): a non-OK
-  // Status through the new entry point...
+  // Status, not an exception.
   {
     BackwardsSource bad;
     ScheduleRequest req;
@@ -188,20 +171,6 @@ int main() {
     CHECK(r.status().code() == StatusCode::kInvalidArgument);
     CHECK(!r.status().message().empty());
   }
-  // ...and the historical std::runtime_error through the shim.
-  {
-    BackwardsSource bad;
-    bool threw = false;
-    try {
-      (void)model.schedule_stream(bad, false);
-    } catch (const std::runtime_error&) {
-      threw = true;
-    }
-    CHECK(threw);
-  }
-
-#pragma GCC diagnostic pop
-
   // StatusOr basics the façade relies on.
   {
     Status ok = Status::Ok();

@@ -4,7 +4,8 @@
 // because the minibatch gradient reduction is chunk-ordered, identical
 // updated parameters. Also gates the zero-allocation discipline: after a
 // warmup epoch, a full train_epoch() (collection fan-out included) performs
-// no heap allocation on any thread.
+// no heap allocation on any thread. Both checks run with trajectory
+// filtering off and on.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -73,8 +74,9 @@ trace::Trace congested_trace() {
   return trace::Trace("congested", 128, std::move(jobs));
 }
 
-rl::PPOConfig test_config(std::size_t workers) {
+rl::PPOConfig test_config(std::size_t workers, bool filtering) {
   rl::PPOConfig cfg;
+  cfg.trajectory_filtering = filtering;
   cfg.seq_len = 64;
   cfg.trajectories_per_epoch = 8;
   cfg.pi_iters = 2;
@@ -106,13 +108,10 @@ void check_epochs_identical(const rl::PPOTrainer& a, const rl::PPOTrainer& b) {
   CHECK(a.value_params() == b.value_params());
 }
 
-}  // namespace
-
-int main() {
-  const auto trace = congested_trace();
-
-  rl::PPOTrainer one(trace, test_config(1));
-  rl::PPOTrainer four(trace, test_config(4));
+/// Worker-count determinism and the warmed zero-alloc gate for one config.
+int check_config(const trace::Trace& trace, bool filtering) {
+  rl::PPOTrainer one(trace, test_config(1, filtering));
+  rl::PPOTrainer four(trace, test_config(4, filtering));
   CHECK(one.worker_count() == 1);
   CHECK(four.worker_count() == 4);
 
@@ -131,8 +130,9 @@ int main() {
   check_epochs_identical(one, four);
 
   // Zero-allocation gate: with capacity warmed by two epochs, a further
-  // full train_epoch — per-worker envs, sequence resampling, the pool
-  // fan-outs, both updates — must not touch the heap from any thread.
+  // full train_epoch — per-worker envs, sequence resampling (and, with
+  // filtering, the SJF probe rollouts), the pool fan-outs, both updates —
+  // must not touch the heap from any thread.
   {
     const unsigned long long before =
         g_allocs.load(std::memory_order_relaxed);
@@ -141,21 +141,33 @@ int main() {
         g_allocs.load(std::memory_order_relaxed);
     if (after != before) {
       std::fprintf(stderr,
-                   "parallel train_epoch allocated %llu times after warmup\n",
-                   after - before);
+                   "parallel train_epoch (filtering %d) allocated %llu times "
+                   "after warmup\n",
+                   filtering ? 1 : 0, after - before);
       return 1;
     }
   }
 
   // A different worker count mid-sweep (3: does not divide 8 trajectories
   // evenly) still matches.
-  rl::PPOTrainer three(trace, test_config(3));
+  rl::PPOTrainer three(trace, test_config(3, filtering));
   three.train_epoch();
   three.train_epoch();
   three.train_epoch();
   one.train_epoch();
   check_epochs_identical(one, three);
+  return 0;
+}
 
+}  // namespace
+
+int main() {
+  const auto trace = congested_trace();
+  // Unfiltered sampling, and the paper's trajectory filtering (the e2e
+  // train workload's configuration).
+  for (const bool filtering : {false, true}) {
+    if (const int rc = check_config(trace, filtering); rc != 0) return rc;
+  }
   std::puts("parallel rollout determinism + zero-alloc: OK");
   return 0;
 }

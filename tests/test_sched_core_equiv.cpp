@@ -14,15 +14,24 @@
 //   * all five Table III heuristics via run_priority() — the
 //     time-invariant ones (FCFS/SJF/F1) in BOTH kinds, proving the
 //     O(log P) min-key index equals the O(P) scan decision for decision;
-//   * the kernel policy and a seeded random-action agent via step();
+//   * a TimeInvariant priority scoring some jobs +inf (the indexed core's
+//     non-finite fallback scan);
+//   * the kernel policy via step() with both cores in LOCKSTEP: at every
+//     decision the reference must show bitwise-equal observation inputs
+//     (window jobs, now(), free_processors()), of which an observation is
+//     a pure function;
+//   * a seeded random-action agent via step();
 //   * backfill off and on (EASY reservations + fit-index queue jumps);
-//   * materialized and streamed ingestion (chunk sizes 1 and 17).
+//   * materialized and streamed ingestion (chunk sizes 1 and 17), and a
+//     shuffled (unsorted) job vector.
 //
 // Every mismatch reports the fuzz seed and configuration so a failure is
 // reproducible from the log line alone.
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/ops.hpp"
@@ -30,11 +39,12 @@
 #include "rl/policy.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/env.hpp"
-#include "sim/reference_env.hpp"
 #include "test_util.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 #include "workload/synthetic.hpp"
+
+#include "reference_env.hpp"
 
 namespace {
 using namespace rlsched;
@@ -51,12 +61,16 @@ void record_event(void* ctx, const trace::Job& j) {
       {j.id, j.submit_time, j.start_time, j.requested_procs});
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 bool events_equal(const std::vector<Event>& a, const std::vector<Event>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id || a[i].procs != b[i].procs) return false;
-    if (std::memcmp(&a[i].submit, &b[i].submit, sizeof(double)) != 0 ||
-        std::memcmp(&a[i].start, &b[i].start, sizeof(double)) != 0) {
+    if (a[i].id != b[i].id || a[i].procs != b[i].procs ||
+        !same_bits(a[i].submit, b[i].submit) ||
+        !same_bits(a[i].start, b[i].start)) {
       return false;
     }
   }
@@ -67,54 +81,6 @@ struct Run {
   std::vector<Event> events;
   sim::RunResult result;
 };
-
-// --- episode drivers, templated over the two cores ---
-
-template <class Env>
-Run drive_heuristic(Env& env, const sim::PriorityFn& fn,
-                    sim::PriorityKind kind) {
-  Run r;
-  env.set_start_hook(&record_event, &r.events);
-  r.result = env.run_priority(fn, kind);
-  env.set_start_hook(nullptr, nullptr);
-  return r;
-}
-
-template <class Env>
-Run drive_kernel(Env& env, const rl::Policy& policy) {
-  Run r;
-  env.set_start_hook(&record_event, &r.events);
-  const rl::ObservationBuilder builder;
-  rl::Observation obs;
-  while (!env.done()) {
-    builder.build_into(env, obs);
-    const rl::Logits logits = policy.logits(obs);
-    env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
-                               rl::kMaxObservable));
-  }
-  r.result = env.result();
-  env.set_start_hook(nullptr, nullptr);
-  return r;
-}
-
-template <class Env>
-Run drive_random(Env& env, std::uint64_t seed) {
-  // Same seed on both cores: as long as the observable windows agree, the
-  // drawn action sequences agree — any divergence surfaces as an event
-  // mismatch.
-  util::Rng rng(seed);
-  Run r;
-  env.set_start_hook(&record_event, &r.events);
-  while (!env.done()) {
-    const std::size_t w = env.observable().size();
-    env.step(static_cast<std::size_t>(rng.below(w)));
-  }
-  r.result = env.result();
-  env.set_start_hook(nullptr, nullptr);
-  return r;
-}
-
-// --- the differential check ---
 
 struct Context {
   const char* trace_label;
@@ -136,6 +102,105 @@ struct Context {
   std::exit(1);
 }
 
+// --- episode drivers ---
+//
+// Each driver plays one episode on both cores and returns {indexed run,
+// reference run}. The independent ones are templated over the core and
+// run the same episode on each in turn.
+
+template <class Env>
+Run drive_heuristic(Env& env, const sim::PriorityFn& fn,
+                    sim::PriorityKind kind) {
+  Run r;
+  env.set_start_hook(&record_event, &r.events);
+  r.result = env.run_priority(fn, kind);
+  env.set_start_hook(nullptr, nullptr);
+  return r;
+}
+
+template <class Env>
+Run drive_random(Env& env, std::uint64_t seed) {
+  // Same seed on both cores: as long as the observable windows agree, the
+  // drawn action sequences agree — any divergence surfaces as an event
+  // mismatch.
+  util::Rng rng(seed);
+  Run r;
+  env.set_start_hook(&record_event, &r.events);
+  while (!env.done()) {
+    const std::size_t w = env.observable().size();
+    env.step(static_cast<std::size_t>(rng.below(w)));
+  }
+  r.result = env.result();
+  env.set_start_hook(nullptr, nullptr);
+  return r;
+}
+
+/// Everything an observation reads from a core: the window's jobs (id and
+/// the submit/requested fields the features use), the clock, and the free
+/// and total processor counts.
+void check_observation_inputs(const Context& c, const sim::SchedulingEnv& env,
+                              const sim::ReferenceEnv& ref) {
+  if (!same_bits(env.now(), ref.now())) fail(c, "now() at a decision");
+  if (env.free_processors() != ref.free_processors() ||
+      env.processors() != ref.processors()) {
+    fail(c, "free_processors() at a decision");
+  }
+  const auto wa = env.observable();
+  const auto wb = ref.observable();
+  if (wa.size() != wb.size()) fail(c, "window size at a decision");
+  for (std::size_t k = 0; k < wa.size(); ++k) {
+    const trace::Job& a = env.jobs()[wa[k]];
+    const trace::Job& b = ref.jobs()[wb[k]];
+    if (a.id != b.id || a.requested_procs != b.requested_procs ||
+        !same_bits(a.submit_time, b.submit_time) ||
+        !same_bits(a.requested_time, b.requested_time)) {
+      fail(c, "window job at a decision");
+    }
+  }
+}
+
+/// The kernel policy with both cores in lockstep: observe SchedulingEnv,
+/// require the reference's observation inputs to match bit for bit, then
+/// step both with the one chosen action.
+std::pair<Run, Run> drive_kernel(const Context& c, sim::SchedulingEnv& env,
+                                 sim::ReferenceEnv& ref,
+                                 const rl::Policy& policy) {
+  Run got, want;
+  env.set_start_hook(&record_event, &got.events);
+  ref.set_start_hook(&record_event, &want.events);
+  const rl::ObservationBuilder builder;
+  rl::Observation obs;
+  while (!env.done()) {
+    if (ref.done()) fail(c, "done() at a decision");
+    check_observation_inputs(c, env, ref);
+    builder.build_into(env, obs);
+    const rl::Logits logits = policy.logits(obs);
+    const std::size_t action =
+        nn::argmax_masked(logits.data(), obs.mask.data(), rl::kMaxObservable);
+    env.step(action);
+    ref.step(action);
+  }
+  if (!ref.done()) fail(c, "done() at the end");
+  got.result = env.result();
+  want.result = ref.result();
+  env.set_start_hook(nullptr, nullptr);
+  ref.set_start_hook(nullptr, nullptr);
+  return {std::move(got), std::move(want)};
+}
+
+/// Adapts an independent per-core driver to the pair signature.
+template <class DriveFn>
+auto on_each(DriveFn drive) {
+  return [drive](const Context&, sim::SchedulingEnv& env,
+                 sim::ReferenceEnv& ref) {
+    Run got = drive(env);
+    Run want = drive(ref);
+    return std::pair<Run, Run>{std::move(got), std::move(want)};
+  };
+}
+
+// --- the differential check ---
+
 void check_pair(const Context& c, const sim::SchedulingEnv& env,
                 const sim::ReferenceEnv& ref, const Run& got,
                 const Run& want) {
@@ -148,18 +213,16 @@ void check_pair(const Context& c, const sim::SchedulingEnv& env,
     const auto& b = ref.jobs();
     if (a.size() != b.size()) fail(c, "job count");
     for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i].id != b[i].id ||
-          std::memcmp(&a[i].start_time, &b[i].start_time,
-                      sizeof(double)) != 0) {
+      if (a[i].id != b[i].id || !same_bits(a[i].start_time, b[i].start_time)) {
         fail(c, "per-job start time");
       }
     }
   }
 }
 
-template <class DriveFn>
+template <class PairFn>
 void compare(Context c, const std::vector<trace::Job>& jobs, int procs,
-             DriveFn&& drive) {
+             PairFn&& drive_pair) {
   const sim::EnvConfig cfg{.backfill = c.backfill};
   // materialized
   {
@@ -168,8 +231,7 @@ void compare(Context c, const std::vector<trace::Job>& jobs, int procs,
     sim::ReferenceEnv ref(procs, cfg);
     env.reset(jobs);
     ref.reset(jobs);
-    const Run got = drive(env);
-    const Run want = drive(ref);
+    const auto [got, want] = drive_pair(c, env, ref);
     check_pair(c, env, ref, got, want);
   }
   // streamed, pathological and mid-size chunks
@@ -181,8 +243,7 @@ void compare(Context c, const std::vector<trace::Job>& jobs, int procs,
     sim::ReferenceEnv ref(procs, cfg);
     env.reset(src_a, chunk);
     ref.reset(src_b, chunk);
-    const Run got = drive(env);
-    const Run want = drive(ref);
+    const auto [got, want] = drive_pair(c, env, ref);
     check_pair(c, env, ref, got, want);
   }
 }
@@ -337,6 +398,25 @@ int main() {
     workloads.push_back(
         {"sdsc", 13, trace.processors(), trace.jobs()});
   }
+  {
+    // Unsorted input: a shuffled fuzz trace takes both cores' stable_sort
+    // path, and tied submits keep their shuffled relative order.
+    Workload w{"shuffled-fuzz", 5, 0, {}};
+    w.jobs = fuzz_trace(w.seed, &w.procs);
+    util::Rng shuffle_rng(w.seed);
+    for (std::size_t i = w.jobs.size(); i-- > 1;) {
+      std::swap(w.jobs[i], w.jobs[shuffle_rng.below(i + 1)]);
+    }
+    workloads.push_back(std::move(w));
+  }
+
+  // A TimeInvariant score that is +inf for every fourth job: whenever only
+  // such jobs are pending, the indexed core's key tree cannot answer and it
+  // falls back to the scan, which must still match the reference.
+  const sim::PriorityFn sjf_with_inf = [](const trace::Job& j, double) {
+    return j.id % 4 == 0 ? std::numeric_limits<double>::infinity()
+                         : j.requested_time;
+  };
 
   std::size_t episodes = 0;
   for (const Workload& w : workloads) {
@@ -344,28 +424,38 @@ int main() {
       Context c{w.label, w.seed, backfill, "", 0};
       for (const auto& h : sched::all_heuristics()) {
         c.driver = h.name.c_str();
-        compare(c, w.jobs, w.procs, [&](auto& env) {
-          return drive_heuristic(env, h.priority, h.kind);
-        });
+        compare(c, w.jobs, w.procs, on_each([&](auto& env) {
+                  return drive_heuristic(env, h.priority, h.kind);
+                }));
         ++episodes;
         if (h.kind == sim::PriorityKind::TimeInvariant) {
           // Cross-check the min-key index against the plain scan: the
           // indexed core must give the same schedule under either kind.
-          compare(c, w.jobs, w.procs, [&](auto& env) {
-            return drive_heuristic(env, h.priority,
-                                   sim::PriorityKind::TimeVarying);
-          });
+          compare(c, w.jobs, w.procs, on_each([&](auto& env) {
+                    return drive_heuristic(env, h.priority,
+                                           sim::PriorityKind::TimeVarying);
+                  }));
           ++episodes;
         }
       }
+      c.driver = "sjf-with-inf";
+      compare(c, w.jobs, w.procs, on_each([&](auto& env) {
+                return drive_heuristic(env, sjf_with_inf,
+                                       sim::PriorityKind::TimeInvariant);
+              }));
+      ++episodes;
       c.driver = "kernel";
       compare(c, w.jobs, w.procs,
-              [&](auto& env) { return drive_kernel(env, *policy); });
+              [&](const Context& ctx, sim::SchedulingEnv& env,
+                  sim::ReferenceEnv& ref) {
+                return drive_kernel(ctx, env, ref, *policy);
+              });
       ++episodes;
       c.driver = "random";
-      compare(c, w.jobs, w.procs, [&](auto& env) {
-        return drive_random(env, w.seed * 1000003 + (backfill ? 1 : 0));
-      });
+      compare(c, w.jobs, w.procs, on_each([&](auto& env) {
+                return drive_random(env,
+                                    w.seed * 1000003 + (backfill ? 1 : 0));
+              }));
       ++episodes;
     }
   }

@@ -75,8 +75,9 @@ Run run_kernel(sim::SchedulingEnv& env, const rl::Policy& policy) {
   Run r;
   env.set_start_hook(&record_event, &r.events);
   const rl::ObservationBuilder builder;
+  rl::Observation obs;
   while (!env.done()) {
-    const rl::Observation obs = builder.build(env);
+    builder.build_into(env, obs);
     const rl::Logits logits = policy.logits(obs);
     env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
                                rl::kMaxObservable));

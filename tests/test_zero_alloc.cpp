@@ -59,9 +59,10 @@ int main() {
     const rl::ObservationBuilder builder;
     sim::SchedulingEnv env(trace.processors(), {.backfill = true});
     env.reset(seq);
+    rl::Observation obs;
     const unsigned long long before = g_allocs;
     while (!env.done()) {
-      const auto obs = builder.build(env);
+      builder.build_into(env, obs);
       const auto logits = policy->logits(obs);
       env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
                                  rl::kMaxObservable));
