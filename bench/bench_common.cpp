@@ -1,6 +1,8 @@
 #include "bench_common.hpp"
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <fstream>
@@ -11,6 +13,109 @@
 #include "util/table.hpp"
 
 namespace rlsched::bench {
+
+bool json_flag(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0) return true;
+  }
+  return false;
+}
+
+namespace {
+// Doubles print at %.17g so the JSON round-trips bitwise.
+std::string number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string quoted(const char* s) { return std::string("\"") + s + "\""; }
+
+std::string join(const std::vector<std::pair<std::string, std::string>>& f,
+                 const char* sep) {
+  std::string out;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    out += (i > 0 ? sep : "") + ("\"" + f[i].first + "\": " + f[i].second);
+  }
+  return out;
+}
+}  // namespace
+
+void Report::config(const char* key, std::size_t v) {
+  config_.emplace_back(key, std::to_string(v));
+}
+void Report::config(const char* key, bool v) {
+  config_.emplace_back(key, v ? "true" : "false");
+}
+void Report::config(const char* key, const char* v) {
+  config_.emplace_back(key, quoted(v));
+}
+void Report::host(const char* key, const char* v) {
+  host_.emplace_back(key, quoted(v));
+}
+
+void Report::check(const std::string& name, bool ok) {
+  checks_.emplace_back(name, ok ? "true" : "false");
+  if (!ok) failed_.push_back(name);
+}
+
+void Report::check_at_least(const std::string& name, double value,
+                            double min) {
+  checks_.emplace_back(name, "{\"value\": " + number(value) +
+                                 ", \"min\": " + number(min) + "}");
+  if (!(value >= min)) failed_.push_back(name + " (" + number(value) +
+                                         " < " + number(min) + ")");
+}
+
+void Report::check_at_most(const std::string& name, double value,
+                           double max) {
+  checks_.emplace_back(name, "{\"value\": " + number(value) +
+                                 ", \"max\": " + number(max) + "}");
+  if (!(value <= max)) failed_.push_back(name + " (" + number(value) +
+                                         " > " + number(max) + ")");
+}
+
+void Report::value(const std::string& name, double v, Better better,
+                   Miss miss, double tolerance) {
+  values_.emplace_back(
+      name, "{\"value\": " + number(v) + ", \"better\": " +
+                quoted(better == Better::kHigher ? "higher" : "lower") +
+                ", \"miss\": " +
+                quoted(miss == Miss::kFails ? "fails" : "warns") +
+                ", \"tolerance\": " + number(tolerance) + "}");
+}
+
+int Report::finish(bool json) const {
+  for (const std::string& f : failed_) {
+    std::fprintf(stderr, "CHECK FAILED: %s\n", f.c_str());
+  }
+  if (json) {
+    std::printf("{\n  \"bench\": \"%s\",\n  \"config\": {%s},\n"
+                "  \"host\": {%s},\n  \"checks\": {\n    %s\n  },\n"
+                "  \"values\": {\n    %s\n  }\n}\n",
+                bench_.c_str(), join(config_, ", ").c_str(),
+                join(host_, ", ").c_str(), join(checks_, ",\n    ").c_str(),
+                join(values_, ",\n    ").c_str());
+  }
+  return failed_.empty() ? 0 : 1;
+}
+
+ObsPool make_pool(std::uint64_t seed) {
+  const auto trace =
+      workload::make_trace("SDSC-SP2", kPoolWindows + 512, seed);
+  const rl::ObservationBuilder builder;
+  sim::SchedulingEnv env(trace.processors());
+  env.reset(trace.sequence(0, kPoolWindows + 256));
+  ObsPool pool;
+  pool.obs.resize(kPoolWindows);
+  pool.ptr.resize(kPoolWindows);
+  for (std::size_t k = 0; k < kPoolWindows; ++k) {
+    builder.build_into(env, pool.obs[k]);
+    pool.ptr[k] = &pool.obs[k];
+    env.step(0);
+  }
+  return pool;
+}
 
 Scale bench_scale() {
   // Every knob goes through the validated parser: garbage falls back to
@@ -236,46 +341,46 @@ double avg_gap(const TraceGapStudy& g, std::size_t h) {
   return g.exact.empty() ? 0.0 : sum / static_cast<double>(g.exact.size());
 }
 
-void print_gap_json(const char* bench, sched::ExactObjective objective,
-                    const GapStudyConfig& cfg,
-                    const std::vector<TraceGapStudy>& gaps) {
-  // Doubles print at %.17g so the JSON round-trips bitwise into
-  // scripts/perf_gate.py's within-run invariant checks.
-  std::printf("{\n  \"bench\": \"%s\",\n", bench);
-  std::printf("  \"objective\": \"%s\",\n",
-              sched::exact_objective_name(objective));
-  std::printf("  \"window\": %zu,\n  \"windows\": %zu,\n", cfg.window,
-              cfg.windows);
-  std::printf("  \"max_nodes\": %llu,\n",
-              static_cast<unsigned long long>(cfg.max_nodes));
-  std::printf("  \"traces\": {\n");
-  for (std::size_t t = 0; t < gaps.size(); ++t) {
-    const TraceGapStudy& g = gaps[t];
-    std::printf("    \"%s\": {\n", g.trace.c_str());
-    std::printf("      \"nodes\": %llu,\n",
-                static_cast<unsigned long long>(g.nodes));
-    const auto list = [](const std::vector<double>& v) {
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        std::printf("%.17g%s", v[i], i + 1 < v.size() ? ", " : "");
+/// `a <= b` within the gate's relative cushion of 1e-9.
+bool at_most(double a, double b) {
+  return a <= b + 1e-9 * (1.0 + std::fabs(b));
+}
+
+/// The solver's two contracts gate within the run: the bound sits at or
+/// below the exact objective on every window, and a proved optimum at or
+/// below every heuristic. Gap ratios and proved counts only warn: pruning
+/// follows floating-point compares, so a compiler that contracts
+/// differently can prove a different subset within the node budget.
+Report gap_report(const char* bench, sched::ExactObjective objective,
+                  const GapStudyConfig& cfg,
+                  const std::vector<TraceGapStudy>& gaps) {
+  using B = Report::Better;
+  using M = Report::Miss;
+  Report report(bench);
+  report.config("objective", sched::exact_objective_name(objective));
+  report.config("window", cfg.window);
+  report.config("windows", cfg.windows);
+  report.config("max_nodes", static_cast<std::size_t>(cfg.max_nodes));
+  for (const TraceGapStudy& g : gaps) {
+    bool admissible = true, exact = true;
+    std::size_t proved = 0;
+    for (std::size_t w = 0; w < g.exact.size(); ++w) {
+      admissible = admissible && at_most(g.bound[w], g.exact[w]);
+      proved += static_cast<std::size_t>(g.proved[w]);
+      for (const std::vector<double>& h : g.heuristic) {
+        exact = exact && (!g.proved[w] || at_most(g.exact[w], h[w]));
       }
-    };
-    std::printf("      \"proved\": [");
-    for (std::size_t i = 0; i < g.proved.size(); ++i) {
-      std::printf("%d%s", g.proved[i], i + 1 < g.proved.size() ? ", " : "");
     }
-    std::printf("],\n      \"exact\": [");
-    list(g.exact);
-    std::printf("],\n      \"bound\": [");
-    list(g.bound);
-    std::printf("],\n      \"heuristics\": {\n");
+    report.check(g.trace + "_bound_le_exact", admissible);
+    report.check(g.trace + "_exact_le_heuristics", exact);
+    report.value(g.trace + "_proved", static_cast<double>(proved), B::kHigher,
+                 M::kWarns, 0.0);
     for (std::size_t h = 0; h < g.heuristic_names.size(); ++h) {
-      std::printf("        \"%s\": [", g.heuristic_names[h].c_str());
-      list(g.heuristic[h]);
-      std::printf("]%s\n", h + 1 < g.heuristic_names.size() ? "," : "");
+      report.value(g.trace + "_" + g.heuristic_names[h] + "_gap",
+                   avg_gap(g, h), B::kLower, M::kWarns);
     }
-    std::printf("      }\n    }%s\n", t + 1 < gaps.size() ? "," : "");
   }
-  std::printf("  }\n}\n");
+  return report;
 }
 }  // namespace
 
@@ -385,11 +490,13 @@ int run_scheduling_table(const std::string& title, sim::Metric metric,
     }
   }
 
+  const Report report = with_gap ? gap_report(opts.json_bench, objective,
+                                              gap_cfg, gaps)
+                                 : Report("");
   if (opts.json) {
     // Machine mode is the CI perf job's path: the gap study alone, no RL
     // training and no full-sequence evaluation.
-    print_gap_json(opts.json_bench, objective, gap_cfg, gaps);
-    return 0;
+    return report.finish(true);
   }
 
   for (const bool backfill : {false, true}) {
@@ -456,7 +563,7 @@ int run_scheduling_table(const std::string& title, sim::Metric metric,
                  "solved on standalone contended windows where optimality "
                  "is provable.\n";
   }
-  return 0;
+  return report.finish(false);
 }
 
 }  // namespace rlsched::bench

@@ -34,17 +34,111 @@
 // Paper scale: EPOCHS=100 TRAJ=100 PI_ITERS=80 MINIBATCH=0 EVAL_SEQS=10
 // EVAL_LEN=1024.
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rlscheduler.hpp"
+#include "rl/observation.hpp"
 #include "sched/exact.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/env.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rlsched::bench {
+
+/// True when `--json` is among the arguments.
+bool json_flag(int argc, char** argv);
+
+/// The machine report every gated bench prints with --json, compared
+/// against bench/baseline.json by scripts/perf_gate.py. The schema and
+/// the gate rules are in docs/benchmarks.md. Checks are within-run: a
+/// failed one makes finish() return a nonzero exit status.
+class Report {
+ public:
+  enum class Better { kHigher, kLower };
+  enum class Miss { kFails, kWarns };
+  /// The band around the baseline every compared value gets unless it
+  /// names its own.
+  static constexpr double kTolerance = 0.25;
+
+  explicit Report(std::string bench) : bench_(std::move(bench)) {}
+
+  /// Build and run settings; a mismatch with the baseline fails.
+  void config(const char* key, std::size_t v);
+  void config(const char* key, bool v);
+  void config(const char* key, const char* v);
+  /// Host properties; a mismatch skips the baseline comparisons.
+  void host(const char* key, const char* v);
+
+  void check(const std::string& name, bool ok);
+  void check_at_least(const std::string& name, double value, double min);
+  void check_at_most(const std::string& name, double value, double max);
+
+  /// A value compared against its baseline within `tolerance`.
+  void value(const std::string& name, double v, Better better, Miss miss,
+             double tolerance = kTolerance);
+
+  /// Names every failed check on stderr, prints the report on stdout when
+  /// `json`, and returns the process exit status.
+  int finish(bool json) const;
+
+ private:
+  using Fields = std::vector<std::pair<std::string, std::string>>;
+  std::string bench_;
+  Fields config_, host_, checks_, values_;  ///< key -> JSON text
+  std::vector<std::string> failed_;
+};
+
+/// Observation windows the inference benches time: decision points from a
+/// congested SDSC-SP2 episode, every window full of real pending jobs like
+/// the Table IX measurement.
+inline constexpr std::size_t kPoolWindows = 160;  // divisible by 8 and 32
+
+struct ObsPool {
+  std::vector<rl::Observation> obs;
+  std::vector<const rl::Observation*> ptr;
+};
+
+ObsPool make_pool(std::uint64_t seed);
+
+/// Best-of-3 decisions/sec of `sweep`, one pass over the pool per call.
+/// Throughput on a shared host dips under neighbour interference but never
+/// exceeds what the machine can do, so the maximum is the low-noise
+/// estimate. `allocs` is the calling binary's tests/counting_alloc.hpp
+/// counter: a timed loop that allocates after warmup exits nonzero.
+template <typename F>
+double decisions_per_sec(F&& sweep, const unsigned long long& allocs) {
+  sweep();  // warmup: sizes every batch scratch
+  const unsigned long long allocs_before = allocs;
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::size_t decisions = 0;
+    double elapsed = 0.0;
+    do {
+      sweep();
+      decisions += kPoolWindows;
+      elapsed = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    } while (elapsed < 0.2);
+    best = std::max(best, static_cast<double>(decisions) / elapsed);
+  }
+  if (allocs != allocs_before) {
+    std::fprintf(stderr,
+                 "FATAL: timed decision loop allocated %llu times after "
+                 "warmup\n",
+                 allocs - allocs_before);
+    std::exit(1);
+  }
+  return best;
+}
 
 struct Scale {
   std::size_t epochs;
@@ -157,11 +251,11 @@ double exact_avg(const std::vector<std::vector<trace::Job>>& seqs,
 
 /// Options for run_scheduling_table. When `json_bench` is set the table
 /// gains an EXACT column and an optimality-gap summary, and `json = true`
-/// switches to the machine-readable gap block alone (no RL training — the
-/// CI perf job runs this mode) for scripts/perf_gate.py.
+/// switches to the gap study's Report alone (no RL training — the CI perf
+/// job runs this mode).
 struct TableOptions {
   const char* json_bench = nullptr;  ///< JSON "bench" field; nullptr = off
-  bool json = false;                 ///< emit the gap JSON block only
+  bool json = false;                 ///< emit the gap study's report only
 };
 
 /// Shared driver for the scheduling-results tables (Tables V, VI, X, XI):

@@ -1,5 +1,5 @@
 // Kernel-policy decision latency: float32 vs int8 quantized inference,
-// and the data for the CI perf gate (scripts/perf_gate.py).
+// and the data for the CI perf gate.
 //
 // Measures decisions/sec (and µs per decision) at batch widths B in
 // {1, 32} for two paths over the SAME congested observation pool:
@@ -8,9 +8,9 @@
 //                 masked argmax), i.e. the Table IX baseline path.
 //   kernel_int8   the quantized decision: u8 activation packing, VNNI /
 //                 scalar int8 MACs with fused requantization, dequantized
-//                 head, same masked argmax. The CI gate requires int8 to
-//                 be >= 5x the float decisions/sec at B=32 on hosts whose
-//                 quant backend matches the recorded baseline.
+//                 head, same masked argmax. Where the VNNI kernel runs,
+//                 the report checks int8 >= 5x the float decisions/sec
+//                 at B=32.
 //
 // Self-checks before timing (a perf number from a broken engine is
 // meaningless; either violation exits nonzero):
@@ -24,11 +24,10 @@
 //   * the steady-state timed loops perform ZERO heap allocation
 //     (counting global operator new).
 //
-// Output: a human table on stderr, and with --json a machine block on
-// stdout carrying quant_isa and simd_lanes so the gate can tell a real
-// regression from a host without the recorded backend (VNNI is a host
-// property, unlike the build-property simd_lanes). RLSCHED_BENCH_SEED
-// varies the workload.
+// Output: a human table on stderr, and with --json the perf-gate report
+// on stdout (docs/benchmarks.md). It records quant_isa as a host property,
+// so the gate can tell a real regression from a host without the recorded
+// backend. RLSCHED_BENCH_SEED varies the workload.
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -36,86 +35,27 @@
 #include "../tests/counting_alloc.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "nn/ops.hpp"
 #include "nn/quant.hpp"
 #include "nn/simd.hpp"
 #include "rl/batch_eval.hpp"
-#include "rl/observation.hpp"
 #include "rl/policy.hpp"
-#include "sim/env.hpp"
 #include "util/env.hpp"
-#include "workload/synthetic.hpp"
 
 namespace {
 
 using namespace rlsched;
 
-constexpr std::size_t kPool = 160;  // observations; divisible by 32
+constexpr std::size_t kPool = bench::kPoolWindows;
 constexpr std::size_t kWidths[] = {1, 32};
-constexpr double kMinSeconds = 0.2;
-// Best-of-N: throughput on shared CI hosts dips under neighbor
-// interference but never exceeds the machine's true capability, so the
-// max over repetitions is the low-noise estimator of each path's speed.
-constexpr int kRepetitions = 3;
 
-struct ObsPool {
-  std::vector<rl::Observation> obs;
-  std::vector<const rl::Observation*> ptr;
-};
-
-/// Decision points sampled from a congested episode: every window is full
-/// of real pending jobs, like the Table IX measurement.
-ObsPool make_pool(std::uint64_t seed) {
-  const auto trace = workload::make_trace("SDSC-SP2", kPool + 512, seed);
-  const rl::ObservationBuilder builder;
-  sim::SchedulingEnv env(trace.processors());
-  env.reset(trace.sequence(0, kPool + 256));
-  ObsPool pool;
-  pool.obs.resize(kPool);
-  pool.ptr.resize(kPool);
-  for (std::size_t k = 0; k < kPool; ++k) {
-    builder.build_into(env, pool.obs[k]);
-    pool.ptr[k] = &pool.obs[k];
-    env.step(0);
-  }
-  return pool;
-}
-
-template <typename F>
-double decisions_per_sec(F&& sweep) {
-  sweep();  // warmup: sizes every batch scratch
-  const unsigned long long allocs_before = g_allocs;
-  double best = 0.0;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::size_t decisions = 0;
-    double elapsed = 0.0;
-    do {
-      sweep();
-      decisions += kPool;
-      elapsed = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    } while (elapsed < kMinSeconds);
-    best = std::max(best, static_cast<double>(decisions) / elapsed);
-  }
-  if (g_allocs != allocs_before) {
-    std::fprintf(stderr,
-                 "FATAL: timed decision loop allocated %llu times after "
-                 "warmup\n",
-                 g_allocs - allocs_before);
-    std::exit(1);
-  }
-  return best;
-}
-
-void self_check(rl::Policy& policy, const ObsPool& pool) {
+void self_check(rl::Policy& policy, const bench::ObsPool& pool) {
   // Quant OFF: the quant entry points must be the float path, bitwise.
   {
     const rl::Logits f = policy.logits(pool.obs[0]);
@@ -178,13 +118,9 @@ struct MetricRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
   const auto seed = static_cast<std::uint64_t>(
       util::env_long("RLSCHED_BENCH_SEED", 42, 0));
-  const ObsPool pool = make_pool(seed);
+  const bench::ObsPool pool = bench::make_pool(seed);
 
   util::Rng rng(seed ^ 0xD11C);
   const auto kernel =
@@ -200,7 +136,7 @@ int main(int argc, char** argv) {
     row.name = quant ? "kernel_int8" : "kernel_f32";
     for (std::size_t wi = 0; wi < 2; ++wi) {
       const std::size_t B = kWidths[wi];
-      row.dps[wi] = decisions_per_sec([&] {
+      row.dps[wi] = bench::decisions_per_sec([&] {
         for (std::size_t g = 0; g < kPool; g += B) {
           if (quant) {
             rl::batched_argmax_quant(*kernel, pool.ptr.data() + g, B,
@@ -210,7 +146,7 @@ int main(int argc, char** argv) {
                                logits.data(), actions.data() + g);
           }
         }
-      });
+      }, g_allocs);
     }
     rows.push_back(row);
   }
@@ -231,18 +167,26 @@ int main(int argc, char** argv) {
                rows[1].dps[0] / rows[0].dps[0],
                rows[1].dps[1] / rows[0].dps[1]);
 
-  if (json) {
-    std::printf("{\n  \"bench\": \"bench_decision_latency\",\n");
-    std::printf("  \"simd_lanes\": %zu,\n  \"quant_isa\": \"%s\",\n",
-                nn::kSimdLanes, nn::quant_isa());
-    std::printf("  \"pool_windows\": %zu,\n", kPool);
-    std::printf("  \"metrics\": {\n");
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      std::printf("    \"%s\": {\"b1\": %.1f, \"b32\": %.1f}%s\n",
-                  rows[r].name.c_str(), rows[r].dps[0], rows[r].dps[1],
-                  r + 1 < rows.size() ? "," : "");
+  // int8/f32 ratios divide out the host's speed, so they fail past the
+  // band; absolute decisions/sec only warn. The >= 5x floor was recorded
+  // for the VNNI kernel and holds only where that kernel runs.
+  using B = bench::Report::Better;
+  using M = bench::Report::Miss;
+  bench::Report report("bench_decision_latency");
+  report.config("simd_lanes", nn::kSimdLanes);
+  report.config("pool_windows", kPool);
+  report.host("quant_isa", nn::quant_isa());
+  for (std::size_t wi = 0; wi < 2; ++wi) {
+    const std::string b = "_b" + std::to_string(kWidths[wi]);
+    report.value("int8_over_f32" + b, rows[1].dps[wi] / rows[0].dps[wi],
+                 B::kHigher, M::kFails);
+    for (const MetricRow& r : rows) {
+      report.value(r.name + b + "_dps", r.dps[wi], B::kHigher, M::kWarns);
     }
-    std::printf("  }\n}\n");
   }
-  return 0;
+  if (std::strcmp(nn::quant_isa(), "avx512vnni") == 0) {
+    report.check_at_least("int8_over_f32_b32", rows[1].dps[1] / rows[0].dps[1],
+                          5.0);
+  }
+  return report.finish(bench::json_flag(argc, argv));
 }

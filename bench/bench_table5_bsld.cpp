@@ -7,16 +7,12 @@
 // The table carries an EXACT column (the bounded-window exact planner from
 // sched/exact.hpp driven through the live env) and an optimality-gap
 // summary solved on standalone contended windows. `--json` emits the gap
-// study alone as the machine block scripts/perf_gate.py consumes.
-#include <cstring>
-
+// study alone as the perf-gate report (docs/benchmarks.md).
 #include "bench_common.hpp"
 int main(int argc, char** argv) {
   rlsched::bench::TableOptions opts;
   opts.json_bench = "bench_table5_bsld";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) opts.json = true;
-  }
+  opts.json = rlsched::bench::json_flag(argc, argv);
   return rlsched::bench::run_scheduling_table(
       "Table V: scheduling towards bounded slowdown",
       rlsched::sim::Metric::BoundedSlowdown,

@@ -5,16 +5,12 @@
 //
 // The table carries an EXACT column and an optimality-gap summary against
 // the window-makespan proxy (utilization's exact counterpart on a finite
-// window). `--json` emits the gap study alone for scripts/perf_gate.py.
-#include <cstring>
-
+// window). `--json` emits the gap study alone as the perf-gate report.
 #include "bench_common.hpp"
 int main(int argc, char** argv) {
   rlsched::bench::TableOptions opts;
   opts.json_bench = "bench_table6_util";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) opts.json = true;
-  }
+  opts.json = rlsched::bench::json_flag(argc, argv);
   return rlsched::bench::run_scheduling_table(
       "Table VI: scheduling towards resource utilization",
       rlsched::sim::Metric::Utilization,

@@ -124,10 +124,6 @@ struct DaemonConfig {
   /// queue growth and unbounded tail latency.
   std::size_t max_queue_depth = 0;
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
-  /// ~Daemon() drain budget: how long destruction keeps serving queued
-  /// work (on the destroying thread) before cancelling the remainder.
-  /// 0 = cancel queued work immediately. See shutdown().
-  double drain_deadline_seconds = 0.0;
 };
 
 struct DaemonStats {
@@ -164,9 +160,9 @@ struct Completion {
 class Daemon {
  public:
   explicit Daemon(DaemonConfig cfg = {});
-  /// shutdown(cfg.drain_deadline_seconds): stops the dispatchers, drains
-  /// within the configured budget, then delivers kCancelled for whatever
-  /// is still queued — accounting balances across destruction.
+  /// shutdown(0.0): stops the dispatchers and delivers kCancelled for
+  /// whatever is still queued — accounting balances across destruction.
+  /// Callers who want a drain budget call shutdown() first.
   ~Daemon();
 
   Daemon(const Daemon&) = delete;
@@ -340,7 +336,6 @@ class Daemon {
   const std::size_t max_sessions_;
   const std::size_t max_queue_depth_;
   const ShedPolicy shed_policy_;
-  const double drain_deadline_seconds_;
 
   mutable std::mutex mu_;  ///< session table, queues, completions, stats
   std::condition_variable done_cv_;  ///< wait() wakeup

@@ -33,7 +33,7 @@
 // Results over this socket path are BITWISE IDENTICAL to in-process
 // Daemon calls: the wire format round-trips doubles by bit pattern and
 // the server adds no computation of its own
-// (tests/test_serve_server.cpp and bench_serve_load --transport socket
+// (tests/test_serve_server.cpp and bench_serve_load's wire_invariant
 // gate this).
 
 #include <atomic>

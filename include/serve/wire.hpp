@@ -18,7 +18,7 @@
 // a u64), NOT through any text or rounding path, so every latency, runtime,
 // and metric round-trips BITWISE — the socket path is gated bitwise
 // identical to the in-process Daemon path (tests/test_serve_server.cpp,
-// bench_serve_load --transport socket).
+// bench_serve_load's wire_invariant).
 //
 // Decoding is defensive end to end: every read is bounds-checked against
 // the declared payload, declared lengths are checked against what actually

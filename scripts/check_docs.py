@@ -15,8 +15,8 @@ Two checks over README.md, DESIGN.md, and docs/*.md:
      deleted binary is stale);
    * every bench binary in bench/bench_*.cpp must be named in
      docs/benchmarks.md (a binary the benchmark guide does not cover is
-     undocumented), and every test in tests/test_*.cpp must be named
-     somewhere in the scanned docs.
+     undocumented), and every test in tests/test_*.cpp or
+     tests/test_*.py must be named somewhere in the scanned docs.
 
 Exit status: 0 = docs in sync, 1 = stale link or inventory drift.
 """
@@ -55,7 +55,7 @@ def check_links(doc):
 
 def source_names(directory, prefix):
     return {p.stem for p in (ROOT / directory).glob(f"{prefix}_*")
-            if p.suffix in (".cpp", ".hpp")}
+            if p.suffix in (".cpp", ".hpp", ".py")}
 
 
 def main():
@@ -89,9 +89,11 @@ def main():
     for name in sorted(benches - {"bench_common"}):
         if name not in bench_doc_names:
             fail(f"docs/benchmarks.md does not cover bench/{name}.cpp")
-    for name in sorted(tests):
-        if (ROOT / "tests" / f"{name}.cpp").exists() and name not in mentioned:
-            fail(f"tests/{name}.cpp is not named in any scanned doc "
+    test_files = [p for p in (ROOT / "tests").glob("test_*")
+                  if p.suffix in (".cpp", ".py")]
+    for path in sorted(test_files):
+        if path.stem not in mentioned:
+            fail(f"tests/{path.name} is not named in any scanned doc "
                  f"(README.md, DESIGN.md, docs/*.md)")
 
     if failures:

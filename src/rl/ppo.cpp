@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -572,7 +573,10 @@ sim::RunResult PPOTrainer::evaluate_stream(trace::JobSource& source,
 }
 
 void PPOTrainer::save(const std::string& path) const {
-  std::ofstream out(path);
+  // Written beside the target and renamed over it, so an interrupted save
+  // never leaves a truncated model where load() would find it.
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp);
   if (!out) throw std::runtime_error("cannot write model file: " + path);
   out << "rlsched-model 1\n";
   out << "policy " << policy_kind_name(cfg_.policy) << ' '
@@ -581,6 +585,11 @@ void PPOTrainer::save(const std::string& path) const {
   write_params(out, policy_->param_vector());
   out << "value " << value_params_.size() << '\n';
   write_params(out, value_params_);
+  out.close();
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("cannot write model file: " + path);
+  }
 }
 
 void PPOTrainer::load(const std::string& path) {
@@ -600,13 +609,23 @@ void PPOTrainer::load(const std::string& path) {
     throw std::runtime_error("model file does not match configuration: " +
                              path);
   }
-  for (float& p : policy_->param_vector()) in >> p;
+  // Parsed into scratch and committed only once the whole file checks
+  // out: a rejected file leaves the live parameters untouched.
+  std::vector<float> policy_params(count);
+  for (float& p : policy_params) in >> p;
   in >> section >> count;
   if (section != "value" || count != value_params_.size()) {
     throw std::runtime_error("model file value section mismatch: " + path);
   }
-  for (float& p : value_params_) in >> p;
+  std::vector<float> value_params(count);
+  for (float& p : value_params) in >> p;
   if (!in) throw std::runtime_error("truncated model file: " + path);
+  if (!(in >> std::ws).eof()) {
+    throw std::runtime_error("trailing data in model file: " + path);
+  }
+  std::copy(policy_params.begin(), policy_params.end(),
+            policy_->param_vector().begin());
+  std::copy(value_params.begin(), value_params.end(), value_params_.begin());
 }
 
 }  // namespace rlsched::rl

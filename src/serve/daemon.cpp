@@ -41,8 +41,7 @@ Daemon::Daemon(DaemonConfig cfg)
     : batch_(cfg.runtime.resolved().batch),
       max_sessions_(cfg.max_sessions),
       max_queue_depth_(cfg.max_queue_depth),
-      shed_policy_(cfg.shed_policy),
-      drain_deadline_seconds_(cfg.drain_deadline_seconds) {
+      shed_policy_(cfg.shed_policy) {
   const std::size_t n = cfg.dispatchers == 0 ? 1 : cfg.dispatchers;
   shards_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
@@ -57,7 +56,7 @@ Daemon::Daemon(DaemonConfig cfg)
   }
 }
 
-Daemon::~Daemon() { shutdown(drain_deadline_seconds_); }
+Daemon::~Daemon() { shutdown(0.0); }
 
 std::uint32_t Daemon::register_policy(const rl::Policy& policy) {
   std::lock_guard<std::mutex> l(mu_);

@@ -1,8 +1,14 @@
 // One-epoch PPO smoke test at a tiny budget: training runs, produces a
-// finite metric, actually moves the policy parameters, and a save/load
-// round trip reproduces the greedy schedule bit-for-bit.
+// finite metric, actually moves the policy parameters, a save/load round
+// trip reproduces the greedy schedule bit-for-bit, and a truncated,
+// trailing-garbage or wrong-count model file is rejected without touching
+// the loaded scheduler.
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rlscheduler.hpp"
@@ -87,15 +93,45 @@ int main() {
   CHECK(result.utilization > 0.0 && result.utilization <= 1.0 + 1e-9);
 
   // Save / load round trip: an identically-configured scheduler loaded from
-  // disk must produce the identical schedule.
+  // disk must produce the identical schedule, bitwise.
   const std::string path = "test_ppo_smoke.model.txt";
   scheduler.save(path);
   core::RLScheduler reloaded(trace, cfg);
   reloaded.load(path);
+  CHECK(sim::bitwise_equal(reloaded.schedule(req).value().run(), result));
+
+  // A rejected model file throws and leaves the live scheduler exactly as
+  // it was. The files carry the trained parameters, so loading them into an
+  // untrained scheduler would show any partial overwrite.
+  std::stringstream saved;
+  saved << std::ifstream(path).rdbuf();
+  const std::string text = saved.str();
+  const std::size_t values = scheduler.trainer().value_params().size();
+  const std::string value_header = "value " + std::to_string(values);
+  std::string wrong_count = text;
+  wrong_count.replace(wrong_count.find(value_header), value_header.size(),
+                      "value " + std::to_string(values - 1));
+  core::RLScheduler untrained(trace, cfg);
+  const auto policy_before = untrained.trainer().policy().param_vector();
+  const auto value_before = untrained.trainer().value_params();
+  const auto run_before = untrained.schedule(req).value().run();
+  for (const std::string& bad :
+       {text.substr(0, text.size() / 3), text + "garbage 1 2 3\n",
+        wrong_count}) {
+    std::ofstream(path) << bad;
+    bool threw = false;
+    try {
+      untrained.load(path);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+    CHECK(threw);
+    CHECK(untrained.trainer().policy().param_vector() == policy_before);
+    CHECK(untrained.trainer().value_params() == value_before);
+    CHECK(sim::bitwise_equal(untrained.schedule(req).value().run(),
+                             run_before));
+  }
   std::remove(path.c_str());
-  const auto result2 = reloaded.schedule(req).value().run();
-  CHECK_NEAR(result2.avg_bounded_slowdown, result.avg_bounded_slowdown, 1e-9);
-  CHECK_NEAR(result2.avg_wait, result.avg_wait, 1e-9);
 
   // MINIBATCH=0 (full batch) and a nonzero minibatch both train.
   core::RLSchedulerConfig mb = cfg;

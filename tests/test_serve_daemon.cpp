@@ -545,9 +545,7 @@ int main() {
     // still queued (the destructor runs shutdown, not a silent drop).
     std::atomic<std::uint64_t> delivered{0};
     {
-      DaemonConfig cfg = daemon_config(4);
-      cfg.drain_deadline_seconds = 0.0;  // destructor cancels, immediately
-      Daemon daemon(cfg);
+      Daemon daemon(daemon_config(4));  // destructor cancels, immediately
       const std::uint32_t pid = daemon.register_policy(*policy);
       daemon.set_completion_hook(
           [](void* ctx, std::uint64_t) {
