@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "nn/simd.hpp"
@@ -45,35 +46,112 @@ namespace rlsched::nn {
 inline constexpr std::size_t kRowBlock = 4;   ///< output rows per microtile
 inline constexpr std::size_t kTileVecs = 2;   ///< vectors per j-microtile
 
+/// gW microtile of the backward: kGradRows x kGradCols (o, i) pairs share
+/// each dC and A vector load, and their 8 lane accumulators fit AVX2's 16
+/// vector registers beside the 6 loads. At one lane the tile is 1-D: GCC's
+/// default FP contraction leaves some products of a 2-D scalar tile
+/// unfused, and the tile would then miss the scalar reference's bits.
+inline constexpr std::size_t kGradRows = kSimdLanes == 1 ? 1 : 4;
+inline constexpr std::size_t kGradCols = 2;
+
 namespace detail {
 
-/// One row block over one j-range: `rows` <= kRowBlock output rows.
+/// Calls f(std::integral_constant<std::size_t, min(n, Max)>{}) for n >= 1:
+/// a ragged edge of n < Max rows or columns gets its own compile-time tile.
+template <std::size_t Max, typename F>
+inline void with_tile(std::size_t n, F&& f) {
+  if constexpr (Max > 0) {
+    if (n >= Max) {
+      f(std::integral_constant<std::size_t, Max>{});
+    } else {
+      with_tile<Max - 1>(n, f);
+    }
+  }
+}
+
+/// Columns [j, j1) of one row block that are narrower than a microtile:
+/// single vectors, then scalars, in dense_row_block's per-element order.
+/// A function of its own: with these loops inside it, GCC 12 compiled
+/// dense_row_block's microtile loop about 20% slower.
 template <std::size_t Rows>
-inline void dense_row_block(const float* __restrict W,
-                            const float* __restrict b,
+inline void dense_row_tail(const float* __restrict W, std::size_t wr,
+                           std::size_t wk, const float* __restrict b,
+                           const float* __restrict A, float* __restrict C,
+                           std::size_t r0, std::size_t K, std::size_t ld,
+                           std::size_t j, std::size_t j1, bool relu) {
+  const float* w = W + r0 * wr;
+  const std::size_t w_end = K * wk;
+  // Single-vector middle tier: batches narrower than a full microtile
+  // (e.g. a 8-12 column value-net chunk) must still vectorize.
+  for (; j + kSimdLanes <= j1; j += kSimdLanes) {
+    VecF acc[Rows];
+    RLSCHED_UNROLL
+    for (std::size_t r = 0; r < Rows; ++r) {
+      acc[r] = vsplat(b != nullptr ? b[r0 + r] : 0.0f);
+    }
+    for (std::size_t wo = 0, ao = j; wo != w_end; wo += wk, ao += ld) {
+      const VecF av = vload(A + ao);
+      RLSCHED_UNROLL
+      for (std::size_t r = 0; r < Rows; ++r) {
+        acc[r] += vsplat(w[r * wr + wo]) * av;
+      }
+    }
+    RLSCHED_UNROLL
+    for (std::size_t r = 0; r < Rows; ++r) {
+      vstore(C + (r0 + r) * ld + j, relu ? vmax0(acc[r]) : acc[r]);
+    }
+  }
+  // Ragged tail: same order, scalar accumulators.
+  for (; j < j1; ++j) {
+    for (std::size_t r = 0; r < Rows; ++r) {
+      float s = b != nullptr ? b[r0 + r] : 0.0f;
+      for (std::size_t k = 0; k < K; ++k) {
+        s += w[r * wr + k * wk] * A[k * ld + j];
+      }
+      if (relu) s = s > 0.0f ? s : 0.0f;
+      C[(r0 + r) * ld + j] = s;
+    }
+  }
+}
+
+/// One block of `Rows` rows of C over columns [j0, j1) of slabs with row
+/// stride ld: C[r][j] = b[r] + sum over ascending k of W(r, k) * A[k][j],
+/// relu last. W(r, k) sits at W[r * wr + k * wk], so the backward's dA
+/// runs here on the transposed weights (wr = 1, wk = in); a null b is a
+/// zero bias.
+template <std::size_t Rows>
+inline void dense_row_block(const float* __restrict W, std::size_t wr,
+                            std::size_t wk, const float* __restrict b,
                             const float* __restrict A, float* __restrict C,
-                            std::size_t o0, std::size_t in, std::size_t J,
-                            bool relu) {
+                            std::size_t r0, std::size_t K, std::size_t ld,
+                            std::size_t j0, std::size_t j1, bool relu) {
   constexpr std::size_t tile = kTileVecs * kSimdLanes;
-  const std::size_t Jt = J - J % tile;
-  for (std::size_t jt = 0; jt < Jt; jt += tile) {
+  // The k loop steps the weight offset to a precomputed end, so it carries
+  // no counter beside its two offsets.
+  const float* w = W + r0 * wr;
+  const std::size_t w_end = K * wk;
+  VecF vb[Rows];
+  RLSCHED_UNROLL
+  for (std::size_t r = 0; r < Rows; ++r) {
+    vb[r] = vsplat(b != nullptr ? b[r0 + r] : 0.0f);
+  }
+  std::size_t j = j0;
+  for (; j + tile <= j1; j += tile) {
     VecF acc[Rows][kTileVecs];
     RLSCHED_UNROLL
     for (std::size_t r = 0; r < Rows; ++r) {
-      const VecF vb = vsplat(b[o0 + r]);
       RLSCHED_UNROLL
-      for (std::size_t t = 0; t < kTileVecs; ++t) acc[r][t] = vb;
+      for (std::size_t t = 0; t < kTileVecs; ++t) acc[r][t] = vb[r];
     }
-    for (std::size_t i = 0; i < in; ++i) {
-      const float* __restrict a = A + i * J + jt;
+    for (std::size_t wo = 0, ao = j; wo != w_end; wo += wk, ao += ld) {
       VecF av[kTileVecs];
       RLSCHED_UNROLL
       for (std::size_t t = 0; t < kTileVecs; ++t) {
-        av[t] = vload(a + t * kSimdLanes);
+        av[t] = vload(A + ao + t * kSimdLanes);
       }
       RLSCHED_UNROLL
       for (std::size_t r = 0; r < Rows; ++r) {
-        const VecF vw = vsplat(W[(o0 + r) * in + i]);
+        const VecF vw = vsplat(w[r * wr + wo]);
         RLSCHED_UNROLL
         for (std::size_t t = 0; t < kTileVecs; ++t) {
           acc[r][t] += vw * av[t];
@@ -82,7 +160,7 @@ inline void dense_row_block(const float* __restrict W,
     }
     RLSCHED_UNROLL
     for (std::size_t r = 0; r < Rows; ++r) {
-      float* row = C + (o0 + r) * J + jt;
+      float* row = C + (r0 + r) * ld + j;
       RLSCHED_UNROLL
       for (std::size_t t = 0; t < kTileVecs; ++t) {
         vstore(row + t * kSimdLanes,
@@ -90,33 +168,86 @@ inline void dense_row_block(const float* __restrict W,
       }
     }
   }
-  // Single-vector middle tier: batches narrower than a full microtile
-  // (e.g. a 8-12 column value-net chunk) must still vectorize.
-  std::size_t j = Jt;
-  for (; j + kSimdLanes <= J; j += kSimdLanes) {
-    VecF acc[Rows];
+  if (j < j1) {
+    dense_row_tail<Rows>(W, wr, wk, b, A, C, r0, K, ld, j, j1, relu);
+  }
+}
+
+/// Every row block of C = W·A (+ b, relu) over columns [j0, j1).
+inline void dense_rows(const float* W, std::size_t wr, std::size_t wk,
+                       const float* b, const float* A, float* C,
+                       std::size_t rows, std::size_t K, std::size_t ld,
+                       std::size_t j0, std::size_t j1, bool relu) {
+  for (std::size_t r0 = 0; r0 < rows; r0 += kRowBlock) {
+    with_tile<kRowBlock>(rows - r0, [&](auto R) {
+      dense_row_block<decltype(R)::value>(W, wr, wk, b, A, C, r0, K, ld, j0,
+                                          j1, relu);
+    });
+  }
+}
+
+/// gW[o][i] += one order-stable partial per active window, in window order,
+/// for the R x Cn pairs o0 <= o < o0 + R, i0 <= i < i0 + Cn. The gW values
+/// stay in registers across windows. Within a window each pair keeps its
+/// own lane accumulator over full lane blocks in ascending j, the lane
+/// trees run kSimdLanes pairs at a time (lane_tree_sums), and the ragged
+/// tail is appended in ascending j: per pair, the exact float sequence of
+/// one scalar dot product per window.
+template <std::size_t R, std::size_t Cn>
+inline void grad_tile(const float* __restrict dC, const float* __restrict A,
+                      float* __restrict gW, std::size_t o0, std::size_t i0,
+                      std::size_t in, std::size_t J, std::size_t win,
+                      std::size_t nwin, const std::uint8_t* win_active) {
+  constexpr std::size_t P = R * Cn;
+  const std::size_t nv = win - win % kSimdLanes;
+  float g[P];
+  RLSCHED_UNROLL
+  for (std::size_t r = 0; r < R; ++r) {
     RLSCHED_UNROLL
-    for (std::size_t r = 0; r < Rows; ++r) acc[r] = vsplat(b[o0 + r]);
-    for (std::size_t i = 0; i < in; ++i) {
-      const VecF av = vload(A + i * J + j);
+    for (std::size_t c = 0; c < Cn; ++c) {
+      g[r * Cn + c] = gW[(o0 + r) * in + i0 + c];
+    }
+  }
+  for (std::size_t w = 0; w < nwin; ++w) {
+    if (win_active != nullptr && win_active[w] == 0) continue;
+    const float* d = dC + o0 * J + w * win;
+    const float* a = A + i0 * J + w * win;
+    float s[P] = {};  // a window without a full lane block sums to +0
+    if (nv > 0) {
+      VecF acc[P] = {};
+      for (std::size_t j = 0; j < nv; j += kSimdLanes) {
+        VecF dv[R], av[Cn];
+        RLSCHED_UNROLL
+        for (std::size_t r = 0; r < R; ++r) dv[r] = vload(d + r * J + j);
+        RLSCHED_UNROLL
+        for (std::size_t c = 0; c < Cn; ++c) av[c] = vload(a + c * J + j);
+        RLSCHED_UNROLL
+        for (std::size_t r = 0; r < R; ++r) {
+          RLSCHED_UNROLL
+          for (std::size_t c = 0; c < Cn; ++c) {
+            acc[r * Cn + c] += dv[r] * av[c];
+          }
+        }
+      }
+      lane_tree_sums(acc, s);
+    }
+    for (std::size_t j = nv; j < win; ++j) {
       RLSCHED_UNROLL
-      for (std::size_t r = 0; r < Rows; ++r) {
-        acc[r] += vsplat(W[(o0 + r) * in + i]) * av;
+      for (std::size_t r = 0; r < R; ++r) {
+        RLSCHED_UNROLL
+        for (std::size_t c = 0; c < Cn; ++c) {
+          s[r * Cn + c] += d[r * J + j] * a[c * J + j];
+        }
       }
     }
     RLSCHED_UNROLL
-    for (std::size_t r = 0; r < Rows; ++r) {
-      vstore(C + (o0 + r) * J + j, relu ? vmax0(acc[r]) : acc[r]);
-    }
+    for (std::size_t p = 0; p < P; ++p) g[p] += s[p];
   }
-  // Ragged tail: same order, scalar accumulators.
-  for (; j < J; ++j) {
-    for (std::size_t r = 0; r < Rows; ++r) {
-      float s = b[o0 + r];
-      const float* w = W + (o0 + r) * in;
-      for (std::size_t i = 0; i < in; ++i) s += w[i] * A[i * J + j];
-      if (relu) s = s > 0.0f ? s : 0.0f;
-      C[(o0 + r) * J + j] = s;
+  RLSCHED_UNROLL
+  for (std::size_t r = 0; r < R; ++r) {
+    RLSCHED_UNROLL
+    for (std::size_t c = 0; c < Cn; ++c) {
+      gW[(o0 + r) * in + i0 + c] = g[r * Cn + c];
     }
   }
 }
@@ -128,16 +259,7 @@ inline void dense_batch_forward(const float* __restrict W,
                                 const float* __restrict A,
                                 float* __restrict C, std::size_t out,
                                 std::size_t in, std::size_t J, bool relu) {
-  std::size_t o = 0;
-  for (; o + kRowBlock <= out; o += kRowBlock) {
-    detail::dense_row_block<kRowBlock>(W, b, A, C, o, in, J, relu);
-  }
-  switch (out - o) {
-    case 3: detail::dense_row_block<3>(W, b, A, C, o, in, J, relu); break;
-    case 2: detail::dense_row_block<2>(W, b, A, C, o, in, J, relu); break;
-    case 1: detail::dense_row_block<1>(W, b, A, C, o, in, J, relu); break;
-    default: break;
-  }
+  detail::dense_rows(W, in, 1, b, A, C, out, in, J, 0, J, relu);
 }
 
 /// Order-stable reduction of one window: lane accumulators over full lane
@@ -149,18 +271,6 @@ inline float window_sum(const float* __restrict d, std::size_t n) {
   for (; j < nv; j += kSimdLanes) acc += vload(d + j);
   float s = lane_tree_sum(acc);
   for (; j < n; ++j) s += d[j];
-  return s;
-}
-
-/// Order-stable dot product of one window (same lane order as window_sum).
-inline float window_dot(const float* __restrict d, const float* __restrict a,
-                        std::size_t n) {
-  VecF acc = vsplat(0.0f);
-  const std::size_t nv = n - n % kSimdLanes;
-  std::size_t j = 0;
-  for (; j < nv; j += kSimdLanes) acc += vload(d + j) * vload(a + j);
-  float s = lane_tree_sum(acc);
-  for (; j < n; ++j) s += d[j] * a[j];
   return s;
 }
 
@@ -188,13 +298,16 @@ inline void dense_batch_backward(const float* __restrict W,
                                  const std::uint8_t* win_active = nullptr) {
   const std::size_t win = window == 0 ? J : window;
   const std::size_t nwin = win == 0 ? 0 : J / win;
-  const std::size_t wv_blocks = win - win % kSimdLanes;
+  const auto active = [&](std::size_t w) {
+    return win_active == nullptr || win_active[w] != 0;
+  };
   if (relu) {
+    const std::size_t wv_blocks = win - win % kSimdLanes;
     for (std::size_t o = 0; o < out; ++o) {
       float* d = dC + o * J;
       const float* c = C + o * J;
       for (std::size_t w = 0; w < nwin; ++w) {
-        if (win_active != nullptr && win_active[w] == 0) continue;
+        if (!active(w)) continue;
         float* dw = d + w * win;
         const float* cw = c + w * win;
         std::size_t j = 0;
@@ -210,48 +323,33 @@ inline void dense_batch_backward(const float* __restrict W,
   for (std::size_t o = 0; o < out; ++o) {
     const float* d = dC + o * J;
     for (std::size_t w = 0; w < nwin; ++w) {
-      if (win_active != nullptr && win_active[w] == 0) continue;
-      gb[o] += window_sum(d + w * win, win);
-    }
-    float* gw = gW + o * in;
-    for (std::size_t i = 0; i < in; ++i) {
-      const float* a = A + i * J;
-      for (std::size_t w = 0; w < nwin; ++w) {
-        if (win_active != nullptr && win_active[w] == 0) continue;
-        gw[i] += window_dot(d + w * win, a + w * win, win);
-      }
+      if (active(w)) gb[o] += window_sum(d + w * win, win);
     }
   }
+  for (std::size_t o0 = 0; o0 < out; o0 += kGradRows) {
+    detail::with_tile<kGradRows>(out - o0, [&](auto R) {
+      for (std::size_t i0 = 0; i0 < in; i0 += kGradCols) {
+        detail::with_tile<kGradCols>(in - i0, [&](auto Cn) {
+          detail::grad_tile<decltype(R)::value, decltype(Cn)::value>(
+              dC, A, gW, o0, i0, in, J, win, nwin, win_active);
+        });
+      }
+    });
+  }
   if (dA != nullptr) {
-    for (std::size_t i = 0; i < in; ++i) {
-      float* da = dA + i * J;
-      for (std::size_t w = 0; w < nwin; ++w) {
-        if (win_active != nullptr && win_active[w] == 0) continue;
-        float* daw = da + w * win;
-        const VecF vz = vsplat(0.0f);
-        std::size_t j = 0;
-        for (; j < wv_blocks; j += kSimdLanes) vstore(daw + j, vz);
-        for (; j < win; ++j) daw[j] = 0.0f;
+    // dA = Wᵀ·dC summed in ascending o from +0 — the forward microkernel
+    // with zero bias on the transposed weights. It is elementwise along J,
+    // so each run of consecutive active windows is one column range.
+    for (std::size_t w = 0; w < nwin;) {
+      if (!active(w)) {
+        ++w;
+        continue;
       }
-    }
-    for (std::size_t o = 0; o < out; ++o) {
-      const float* d = dC + o * J;
-      const float* w_row = W + o * in;
-      for (std::size_t i = 0; i < in; ++i) {
-        float* da = dA + i * J;
-        const float wv = w_row[i];
-        const VecF vw = vsplat(wv);
-        for (std::size_t w = 0; w < nwin; ++w) {
-          if (win_active != nullptr && win_active[w] == 0) continue;
-          float* daw = da + w * win;
-          const float* dw = d + w * win;
-          std::size_t j = 0;
-          for (; j < wv_blocks; j += kSimdLanes) {
-            vstore(daw + j, vload(daw + j) + vw * vload(dw + j));
-          }
-          for (; j < win; ++j) daw[j] += wv * dw[j];
-        }
-      }
+      std::size_t e = w + 1;
+      while (e < nwin && active(e)) ++e;
+      detail::dense_rows(W, 1, in, nullptr, dC, dA, in, out, J, w * win,
+                         e * win, /*relu=*/false);
+      w = e;
     }
   }
 }

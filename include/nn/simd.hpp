@@ -18,9 +18,12 @@
 // the vectorized kernels bit-comparable against a plain scalar reference
 // implementing the same lane order (tests/test_ops_simd.cpp).
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 // Full unrolling of the tiny constant-trip microkernel loops (nn/ops.hpp)
 // is what keeps their accumulator arrays in registers; -O2 alone does not
@@ -66,7 +69,7 @@ inline VecF vsplat(float x) { return x - VecF{}; }
 
 /// Lane-wise relu, bit-identical to the scalar `v > 0 ? v : 0`.
 inline VecF vmax0(VecF v) {
-  VecF r;
+  VecF r{};
   for (std::size_t l = 0; l < kSimdLanes; ++l) r[l] = v[l] > 0.0f ? v[l] : 0.0f;
   return r;
 }
@@ -74,7 +77,7 @@ inline VecF vmax0(VecF v) {
 /// Lane-wise relu gradient mask, bit-identical to the scalar
 /// `c <= 0 ? 0 : d` (a pure select — no arithmetic).
 inline VecF vmask_relu(VecF c, VecF d) {
-  VecF r;
+  VecF r{};
   for (std::size_t l = 0; l < kSimdLanes; ++l) {
     r[l] = c[l] <= 0.0f ? 0.0f : d[l];
   }
@@ -84,7 +87,7 @@ inline VecF vmask_relu(VecF c, VecF d) {
 /// Lane-wise exact max — a pure select, no rounding, so any lane
 /// partitioning of a max-reduction yields the same result.
 inline VecF vmax(VecF a, VecF b) {
-  VecF r;
+  VecF r{};
   for (std::size_t l = 0; l < kSimdLanes; ++l) {
     r[l] = a[l] > b[l] ? a[l] : b[l];
   }
@@ -125,6 +128,61 @@ inline float lane_tree_sum(VecF v) {
   return lane[0];
 }
 
+namespace detail {
+
+/// Lane m of the result is lane 2m + lane 2m+1 of the concatenation a:b:
+/// one level of lane_tree_sum's tree, applied to two vectors at once.
+inline VecF pair_sums(VecF a, VecF b) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return __builtin_shufflevector(a, b, (2 * I)...) +
+           __builtin_shufflevector(a, b, (2 * I + 1)...);
+  }(std::make_index_sequence<kSimdLanes>{});
+}
+
+/// The cross-vector levels over t[0, N): each merges adjacent vectors.
+template <std::size_t N, std::size_t G>
+inline void merge_levels(VecF (&t)[G]) {
+  if constexpr (N > 1) {
+    RLSCHED_UNROLL
+    for (std::size_t k = 0; k < N / 2; ++k) {
+      t[k] = pair_sums(t[2 * k], t[2 * k + 1]);
+    }
+    merge_levels<N / 2>(t);
+  }
+}
+
+}  // namespace detail
+
+/// s[p] = lane_tree_sum(v[p]) for every p, bitwise, kSimdLanes vectors at
+/// a time (the transposed tree). Level by level, pair_sums merges adjacent
+/// vectors until one vector holds every input's partials as adjacent
+/// lanes; pair_sums of that vector with itself finishes the levels left.
+/// Each level adds exactly the lane pairs lane_tree_sum adds at that
+/// level, and IEEE addition is commutative, so no bit moves. A group short
+/// of a power of two is padded with zero vectors, whose lanes are computed
+/// and dropped.
+template <std::size_t N>
+inline void lane_tree_sums(const VecF (&v)[N], float (&s)[N]) {
+  constexpr std::size_t G = std::min(kSimdLanes, std::bit_ceil(N));
+  RLSCHED_UNROLL
+  for (std::size_t p0 = 0; p0 < N; p0 += G) {
+    VecF t[G];
+    RLSCHED_UNROLL
+    for (std::size_t k = 0; k < G; ++k) {
+      t[k] = p0 + k < N ? v[p0 + k] : VecF{};
+    }
+    detail::merge_levels<G>(t);
+    RLSCHED_UNROLL
+    for (std::size_t g = kSimdLanes / G; g > 1; g /= 2) {
+      t[0] = detail::pair_sums(t[0], t[0]);
+    }
+    RLSCHED_UNROLL
+    for (std::size_t k = 0; k < G; ++k) {
+      if (p0 + k < N) s[p0 + k] = t[0][k];
+    }
+  }
+}
+
 #else  // RLSCHED_SIMD == 1: scalar fallback, same algorithm with one lane
 
 struct VecF {
@@ -143,6 +201,10 @@ inline VecF vselect_bytes(const std::uint8_t* m, VecF x, VecF y) {
   return VecF{*m != 0 ? x.v : y.v};
 }
 inline float lane_tree_sum(VecF x) { return x.v; }
+template <std::size_t N>
+inline void lane_tree_sums(const VecF (&v)[N], float (&s)[N]) {
+  for (std::size_t p = 0; p < N; ++p) s[p] = v[p].v;
+}
 inline VecF operator+(VecF a, VecF b) { return VecF{a.v + b.v}; }
 inline VecF operator*(VecF a, VecF b) { return VecF{a.v * b.v}; }
 inline VecF& operator+=(VecF& a, VecF b) {

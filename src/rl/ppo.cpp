@@ -25,6 +25,25 @@ void write_params(std::ofstream& out, const std::vector<float>& p) {
 std::vector<std::size_t> value_net_sizes() {
   return {kJobFeatures * kMaxObservable, 32, 32, 1};
 }
+
+/// The value net's SoA input: feature x of sample k at vx[x * n + k].
+/// Samples go kPackBlock at a time, so each write fills kPackBlock
+/// consecutive floats of a feature row instead of one float per stride-n
+/// store. A pure copy: the bits are the observations'.
+void pack_value_input(const Observation* const* obs, std::size_t n,
+                      float* vx) {
+  constexpr std::size_t kFloats = kJobFeatures * kMaxObservable;
+  constexpr std::size_t kPackBlock = 8;
+  for (std::size_t k0 = 0; k0 < n; k0 += kPackBlock) {
+    const std::size_t m = std::min(kPackBlock, n - k0);
+    const float* f[kPackBlock];
+    for (std::size_t t = 0; t < m; ++t) f[t] = obs[k0 + t]->features.data();
+    float* row = vx + k0;
+    for (std::size_t x = 0; x < kFloats; ++x, row += n) {
+      for (std::size_t t = 0; t < m; ++t) row[t] = f[t][x];
+    }
+  }
+}
 }  // namespace
 
 struct PPOTrainer::Worker {
@@ -157,7 +176,6 @@ void PPOTrainer::collect_group(std::size_t group, std::uint64_t round,
   const std::size_t t0 = group * lanes;
   const std::size_t nb =
       std::min(lanes, cfg_.trajectories_per_epoch - t0);
-  constexpr std::size_t obs_floats = kJobFeatures * kMaxObservable;
 
   w.alive.clear();
   for (std::size_t k = 0; k < nb; ++k) {
@@ -204,10 +222,7 @@ void PPOTrainer::collect_group(std::size_t group, std::uint64_t round,
       w.obs_ptr[i] = &buf.obs.back();
     }
     w.policy->logits_batch(w.obs_ptr.data(), n, w.logits.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* f = w.obs_ptr[i]->features.data();
-      for (std::size_t x = 0; x < obs_floats; ++x) w.vx[x * n + i] = f[x];
-    }
+    pack_value_input(w.obs_ptr.data(), n, w.vx.data());
     const float* vals =
         w.value_net.forward_batch(value_params_.data(), w.vx.data(), n);
 
@@ -486,13 +501,10 @@ void PPOTrainer::update_value() {
         const std::size_t cb = start + ci * kGradChunk;
         const std::size_t ce = std::min(cb + kGradChunk, stop);
         const std::size_t m = ce - cb;
-        constexpr std::size_t obs_floats = kJobFeatures * kMaxObservable;
         for (std::size_t q = 0; q < m; ++q) {
-          const float* f = obs_ptr_[perm_[cb + q]]->features.data();
-          for (std::size_t x = 0; x < obs_floats; ++x) {
-            w.vx[x * m + q] = f[x];
-          }
+          w.obs_ptr[q] = obs_ptr_[perm_[cb + q]];
         }
+        pack_value_input(w.obs_ptr.data(), m, w.vx.data());
         const float* v =
             w.value_net.forward_batch(value_params_.data(), w.vx.data(), m);
         for (std::size_t q = 0; q < m; ++q) {

@@ -4,7 +4,8 @@
 //    implements the documented canonical order — kSimdLanes lane
 //    accumulators over full lane blocks, the fixed pairwise lane tree,
 //    ragged tail appended sequentially — to exact bit equality, on random
-//    shapes including J not a multiple of the vector width.
+//    data at the networks' training shapes, at every ragged edge of the
+//    backward's tiles, and with J not a multiple of the vector width.
 // 2. A windowed batched backward must equal sequential single-window
 //    backwards bitwise (the property that keeps batch size out of trained
 //    parameters), including with inactive windows skipped.
@@ -173,24 +174,35 @@ void check_forward_vs_reference() {
 void check_backward_vs_reference() {
   util::Rng rng(22);
   // {out, in, J, window}; window 0 = single window, including ragged J.
+  // The kernel policy's four layers and the value net's first layer run
+  // at their training shapes; out and in of 1-3 past a multiple of the
+  // gW and dA tiles reach every ragged-edge tile.
   const std::size_t shapes[][4] = {
       {3, 4, 5, 0},    {8, 6, 7, 0},     {5, 3, 33, 0},  {2, 9, 128, 0},
-      {4, 5, 24, 8},   {3, 4, 20, 5},    {6, 2, 384, 128}, {2, 3, 68, 17}};
+      {4, 5, 24, 8},   {3, 4, 20, 5},    {6, 2, 384, 128}, {2, 3, 68, 17},
+      {1, 8, 128, 0},  {8, 16, 128, 0},  {16, 32, 128, 0}, {32, 6, 128, 0},
+      {32, 768, 64, 0}, {5, 7, 37, 0},   {6, 5, 24, 8},  {7, 6, 45, 0},
+      {5, 6, 10, 1},   {7, 5, 23, 1},    {6, 7, 36, 3}};
+  // Active-window masks: none; every other window off; and runs of 1, 2
+  // and 3 active windows between inactive ones, the first and the last
+  // window inactive.
+  constexpr std::uint8_t kRuns[] = {0, 1, 0, 1, 1, 0, 1, 1, 1, 0};
   for (const auto& s : shapes) {
     const std::size_t out = s[0], in = s[1], J = s[2], window = s[3];
     const std::size_t nwin = window == 0 ? 1 : J / window;
     for (const bool relu : {false, true}) {
-      for (const bool masked : {false, true}) {
+      for (const int mask : {0, 1, 2}) {
         std::vector<float> W(out * in), A(in * J), C(out * J), dC0(out * J);
         fill(W, rng, 0.8);
         fill(A, rng, 1.0);
         fill(C, rng, 1.0);
         fill(dC0, rng, 1.0);
         std::vector<std::uint8_t> active(nwin, 1);
-        if (masked) {
-          for (std::size_t w = 0; w < nwin; w += 2) active[w] = 0;
+        for (std::size_t w = 0; w < nwin; ++w) {
+          if (mask == 1 && w % 2 == 0) active[w] = 0;
+          if (mask == 2) active[w] = w + 1 == nwin ? 0 : kRuns[w % 10];
         }
-        const std::uint8_t* act = masked ? active.data() : nullptr;
+        const std::uint8_t* act = mask != 0 ? active.data() : nullptr;
 
         std::vector<float> dC(dC0), dA(in * J, 0.5f), gW(out * in, 0.25f),
             gb(out, 0.125f);
