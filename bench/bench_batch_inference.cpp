@@ -53,13 +53,13 @@ constexpr std::size_t kWidths[] = {1, 8, 32};
 
 void check_actions_match(const rl::Policy& policy, const bench::ObsPool& pool,
                          const std::vector<std::uint32_t>& batched_actions) {
+  rl::Logits single;
   for (std::size_t k = 0; k < kPool; ++k) {
-    const rl::Logits single = policy.logits(pool.obs[k]);
-    const std::size_t a = nn::argmax_masked(
-        single.data(), pool.obs[k].mask.data(), rl::kMaxObservable);
+    std::uint32_t a = 0;
+    rl::batched_argmax(policy, pool.ptr.data() + k, 1, single.data(), &a);
     if (batched_actions[k] != a) {
       std::fprintf(stderr,
-                   "FATAL: batched action %u != unbatched %zu at window "
+                   "FATAL: batched action %u != unbatched %u at window "
                    "%zu\n",
                    batched_actions[k], a, k);
       std::exit(1);

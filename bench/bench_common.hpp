@@ -35,6 +35,7 @@
 // EVAL_LEN=1024.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -113,7 +114,8 @@ ObsPool make_pool(std::uint64_t seed);
 /// estimate. `allocs` is the calling binary's tests/counting_alloc.hpp
 /// counter: a timed loop that allocates after warmup exits nonzero.
 template <typename F>
-double decisions_per_sec(F&& sweep, const unsigned long long& allocs) {
+double decisions_per_sec(F&& sweep,
+                         const std::atomic<unsigned long long>& allocs) {
   sweep();  // warmup: sizes every batch scratch
   const unsigned long long allocs_before = allocs;
   double best = 0.0;

@@ -56,29 +56,26 @@ constexpr std::size_t kPool = bench::kPoolWindows;
 constexpr std::size_t kWidths[] = {1, 32};
 
 void self_check(rl::Policy& policy, const bench::ObsPool& pool) {
+  // Float and quantized rows of the whole pool, window-major.
+  constexpr std::size_t K = rl::kMaxObservable;
+  std::vector<float> f(kPool * K), q(kPool * K), row(K);
   // Quant OFF: the quant entry points must be the float path, bitwise.
-  {
-    const rl::Logits f = policy.logits(pool.obs[0]);
-    const rl::Logits q = policy.logits_quant(pool.obs[0]);
-    if (std::memcmp(f.data(), q.data(), sizeof(f)) != 0) {
-      std::fprintf(stderr, "FATAL: quant-off path differs from float\n");
-      std::exit(1);
-    }
+  policy.logits_batch(pool.ptr.data(), kPool, f.data());
+  policy.logits_quant_batch(pool.ptr.data(), kPool, q.data());
+  if (std::memcmp(f.data(), q.data(), f.size() * sizeof(float)) != 0) {
+    std::fprintf(stderr, "FATAL: quant-off path differs from float\n");
+    std::exit(1);
   }
   if (!policy.enable_quant(pool.ptr.data(), pool.ptr.size())) {
     std::fprintf(stderr, "FATAL: enable_quant failed\n");
     std::exit(1);
   }
 
-  // Batched quant rows == unbatched quant forward, bitwise.
-  std::vector<float> slab(32 * rl::kMaxObservable);
-  std::vector<std::uint32_t> actions(32);
-  rl::batched_argmax_quant(policy, pool.ptr.data(), 32, slab.data(),
-                           actions.data());
-  for (std::size_t k = 0; k < 32; ++k) {
-    const rl::Logits q = policy.logits_quant(pool.obs[k]);
-    if (std::memcmp(slab.data() + k * rl::kMaxObservable, q.data(),
-                    sizeof(q)) != 0) {
+  // Batched quant rows == the one-window quant forward, bitwise.
+  policy.logits_quant_batch(pool.ptr.data(), kPool, q.data());
+  for (std::size_t k = 0; k < kPool; ++k) {
+    policy.logits_quant_batch(pool.ptr.data() + k, 1, row.data());
+    if (std::memcmp(q.data() + k * K, row.data(), K * sizeof(float)) != 0) {
       std::fprintf(stderr, "FATAL: batched quant row %zu != unbatched\n", k);
       std::exit(1);
     }
@@ -88,22 +85,19 @@ void self_check(rl::Policy& policy, const bench::ObsPool& pool) {
   // tests/test_quant.cpp; here the bound guards against a mis-calibrated
   // fixture producing a fast-but-wrong perf number).
   float amax = 0.0f;
-  for (const rl::Observation& o : pool.obs) {
-    const rl::Logits f = policy.logits(o);
-    for (std::size_t j = 0; j < o.count; ++j) {
-      amax = std::max(amax, std::fabs(f[j]));
+  for (std::size_t k = 0; k < kPool; ++k) {
+    for (std::size_t j = 0; j < pool.obs[k].count; ++j) {
+      amax = std::max(amax, std::fabs(f[k * K + j]));
     }
   }
   const float tol = 0.08f * std::max(amax, 1e-3f);
-  for (const rl::Observation& o : pool.obs) {
-    const rl::Logits f = policy.logits(o);
-    const rl::Logits q = policy.logits_quant(o);
-    for (std::size_t j = 0; j < o.count; ++j) {
-      if (std::fabs(q[j] - f[j]) > tol) {
+  for (std::size_t k = 0; k < kPool; ++k) {
+    for (std::size_t j = 0; j < pool.obs[k].count; ++j) {
+      const float err = std::fabs(q[k * K + j] - f[k * K + j]);
+      if (err > tol) {
         std::fprintf(stderr,
                      "FATAL: quant logit error %.4g beyond bound %.4g\n",
-                     static_cast<double>(std::fabs(q[j] - f[j])),
-                     static_cast<double>(tol));
+                     static_cast<double>(err), static_cast<double>(tol));
         std::exit(1);
       }
     }

@@ -57,7 +57,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "nn/ops.hpp"
+#include "rl/batch_eval.hpp"
 #include "rl/observation.hpp"
 #include "rl/policy.hpp"
 #include "sched/exact.hpp"
@@ -223,10 +223,12 @@ int main(int argc, char** argv) {
   const auto fcfs_step = [](auto& env) { env.step(0); };
   const auto kernel_action = [&](const sim::SchedulingEnv& env) {
     rl::Observation obs;
+    const rl::Observation* ptr = &obs;
     builder.build_into(env, obs);
-    const rl::Logits logits = policy->logits(obs);
-    return nn::argmax_masked(logits.data(), obs.mask.data(),
-                             rl::kMaxObservable);
+    rl::Logits logits;
+    std::uint32_t action = 0;
+    rl::batched_argmax(*policy, &ptr, 1, logits.data(), &action);
+    return static_cast<std::size_t>(action);
   };
 
   const Storm adv = make_adversarial_storm(seed, storm.processors);

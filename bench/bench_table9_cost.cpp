@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "nn/ops.hpp"
 #include "nn/simd.hpp"
+#include "rl/batch_eval.hpp"
 #include "rl/observation.hpp"
 #include "rl/policy.hpp"
 
@@ -103,10 +103,13 @@ double rl_decision_seconds(const rl::Policy& policy, std::size_t pending) {
   const auto env = make_busy_env(pending);
   const rl::ObservationBuilder builder;
   rl::Observation obs;
+  const rl::Observation* ptr = &obs;
+  rl::Logits logits;
+  std::uint32_t action = 0;
   return best_of_3([&] {
     builder.build_into(env, obs);
-    const auto logits = policy.logits(obs);
-    g_sink = nn::argmax_masked(logits, obs.mask);
+    rl::batched_argmax(policy, &ptr, 1, logits.data(), &action);
+    g_sink = action;
   }, kMinRunSeconds);
 }
 

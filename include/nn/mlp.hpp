@@ -32,34 +32,23 @@ class FlatMlp {
   /// first full-size chunk epochs after warmup).
   void reserve_batch(std::size_t n) const { ensure_batch(n); }
 
-  /// Returns a pointer to the output activations (valid until next call).
-  const float* forward(const float* params, const float* x) const;
-
-  /// Batched forward over an SoA slab `X` (input_size x n, sample axis
-  /// contiguous). Returns (output_size x n); column k is bitwise identical
-  /// to forward() of sample k alone. Scratch grows to the largest n ever
-  /// seen and is then reused — warm the peak batch once and the loop stops
-  /// allocating.
+  /// Forward over an SoA slab `X` (input_size x n, sample axis
+  /// contiguous; n == 1 is one sample). Returns the output activations
+  /// (output_size x n, valid until the next call); column k is bitwise
+  /// identical to the n == 1 forward of sample k alone. Scratch grows to
+  /// the largest n ever seen and is then reused — warm the peak batch once
+  /// and the loop stops allocating.
   const float* forward_batch(const float* params, const float* X,
                              std::size_t n) const;
 
-  /// Backprop `dout` (length output_size) through the net, accumulating
-  /// into `gparams`. With `recompute` (the default) the forward pass is
-  /// refreshed internally; pass false when forward() was just called with
-  /// the same (params, x) — the hot training loops always pair the calls,
-  /// saving a full forward per sample. `dx` (length input_size) optional.
-  void backward(const float* params, const float* x, const float* dout,
-                float* gparams, float* dx = nullptr,
-                bool recompute = true) const;
-
-  /// Batched backward paired with the most recent forward_batch() on the
-  /// same (params, X, n) — activations are reused, never recomputed.
-  /// `dOut` is (output_size x n). Gradient reductions across the sample
-  /// axis use `window` granularity in sample units (0 = the whole batch as
-  /// one order-stable window, 1 = per-sample partials added sequentially —
-  /// bitwise identical to n unbatched backward() calls); `win_active`
-  /// skips windows (see nn::dense_batch_backward). `dX` optional
-  /// (input_size x n).
+  /// Backward paired with the most recent forward_batch() on the same
+  /// (params, X, n) — activations are reused, never recomputed. `dOut` is
+  /// (output_size x n); gradients accumulate into `gparams`. Reductions
+  /// across the sample axis use `window` granularity in sample units (0 =
+  /// the whole batch as one order-stable window, 1 = per-sample partials
+  /// added sequentially — bitwise identical to n one-sample calls);
+  /// `win_active` skips windows (see nn::dense_batch_backward). `dX`
+  /// optional (input_size x n).
   void backward_batch(const float* params, const float* X, const float* dOut,
                       float* gparams, std::size_t n, std::size_t window = 0,
                       const std::uint8_t* win_active = nullptr,

@@ -29,7 +29,7 @@ namespace rlsched::rl {
 /// One batched greedy decision: logits for `n` windows in one forward pass
 /// plus per-window masked argmax. `logits_slab` is caller-owned scratch of
 /// n * kMaxObservable floats; `actions[k]` receives window k's decision —
-/// bitwise identical to the unbatched argmax of logits(*obs[k]).
+/// bitwise identical to the n == 1 call on *obs[k] alone.
 void batched_argmax(const Policy& policy, const Observation* const* obs,
                     std::size_t n, float* logits_slab,
                     std::uint32_t* actions);

@@ -3,7 +3,9 @@
 // with shared weights to every observable job — per-job scoring, order
 // equivariant) plus the Table IV baselines: flat MLPs v1-v3 and a
 // LeNet-style convolutional head. All parameters live in one flat float
-// vector; logits() and backward() never allocate after construction.
+// vector. A network runs one way: batched over `n` observation windows
+// (n == 1 for a single decision), forward then paired backward; neither
+// allocates once reserve_batch() has sized the batch scratch.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,52 +26,38 @@ class Policy {
  public:
   virtual ~Policy() = default;
 
-  /// One logit per observable slot. Masking happens in the caller.
-  virtual Logits logits(const Observation& obs) const = 0;
+  // Concurrency: even the const calls write the activation scratch inside,
+  // so one object serves one caller at a time. Concurrent callers hold
+  // their own instances (PPOTrainer's workers clone it); serve::Daemon is
+  // the concurrent serving path, running each policy on one shard.
 
-  /// Accumulate d(loss)/d(params) for d(loss)/d(logits) into `gparams`
-  /// (length parameter_count()). Reuses the activations of the most recent
-  /// logits() call — callers must pair backward() with a logits() on the
-  /// same observation (the PPO update loop does).
-  virtual void backward(const Observation& obs, const Logits& dlogits,
-                        float* gparams) const = 0;
-
-  /// Score `n` stacked observation windows in ONE forward pass. `out` is
+  /// Score `n` stacked observation windows in ONE forward pass, one logit
+  /// per observable slot (masking happens in the caller). `out` is
   /// window-major: the logits of window k land at
-  /// out[k * kMaxObservable + j]. Row k is bitwise identical to
-  /// logits(*obs[k]) — batching can never change a decision. The kernel
-  /// policy overrides this with a true B x 128 GEMV (job axis J spans the
-  /// whole batch); the MLP baselines batch along the sample axis; the
-  /// default loops logits(). Batch scratch grows to the largest n ever
-  /// seen, then is reused — the steady-state loop performs no allocation.
+  /// out[k * kMaxObservable + j]. Row k is bitwise identical to the n == 1
+  /// call on *obs[k] — batching can never change a decision. Batch scratch
+  /// grows to the largest n ever seen, then is reused.
   virtual void logits_batch(const Observation* const* obs, std::size_t n,
-                            float* out) const;
+                            float* out) const = 0;
 
   /// Prewarm batch scratch for up to `n` windows so subsequent batched
-  /// calls never allocate (zero-alloc loops size everything up front; the
-  /// default no-op suits policies whose fallback batched path has no batch
-  /// scratch).
-  virtual void reserve_batch(std::size_t n) const { (void)n; }
+  /// calls never allocate (zero-alloc loops size everything up front).
+  virtual void reserve_batch(std::size_t n) const = 0;
 
-  /// True when backward_batch() reuses the activations of the most recent
-  /// logits_batch() instead of recomputing per window. The PPO update takes
-  /// its batched-chunk path only for such policies; the others keep the
-  /// original per-sample pairing (no hidden extra forwards).
-  virtual bool supports_batched_update() const { return false; }
-
-  /// Accumulate gradients for the batch scored by the MOST RECENT
-  /// logits_batch() on the same (obs, n). `dlogits` is window-major like
+  /// Accumulate d(loss)/d(params) into `gparams` (length parameter_count())
+  /// for the batch scored by the MOST RECENT logits_batch() on the same
+  /// (obs, n), reusing its activations. `dlogits` is window-major like
   /// logits_batch()'s output. Windows with win_active[k] == 0 (when
-  /// non-null) contribute nothing — bitwise identical to skipping their
-  /// backward() call, which is how the PPO update drops clip-saturated
-  /// samples. Gradient reductions are order-stable per window (window
-  /// order, lane-stratified within — see nn/ops.hpp), so the accumulated
-  /// gradient is bitwise identical to sequential per-window backward()
-  /// calls: batch size never leaks into trained parameters.
+  /// non-null) contribute nothing, which is how the PPO update drops
+  /// clip-saturated samples. Gradient reductions are order-stable per
+  /// window (window order, lane-stratified within — see nn/ops.hpp), so the
+  /// accumulated gradient is bitwise identical to n == 1 calls on the
+  /// active windows in window order: batch size never leaks into trained
+  /// parameters.
   virtual void backward_batch(const Observation* const* obs, std::size_t n,
                               const float* dlogits,
                               const std::uint8_t* win_active,
-                              float* gparams) const;
+                              float* gparams) const = 0;
 
   virtual PolicyKind kind() const = 0;
 
@@ -80,15 +68,13 @@ class Policy {
   // the given observations; parameter updates after that point do not
   // flow into the quantized path until it is re-enabled. The float path
   // is untouched and remains the default — with quantization disabled
-  // every logits_quant* call is the exact float computation, so schedules
-  // are bitwise unchanged.
-
-  /// True for policies with a native int8 path (the kernel policy).
-  virtual bool supports_quant() const { return false; }
+  // logits_quant_batch is the exact float computation, so schedules are
+  // bitwise unchanged.
 
   /// Quantize current weights and calibrate activation scales from `n`
   /// representative observations (n == 0 falls back to unit scales).
-  /// Returns false (and stays on float) for unsupported policies.
+  /// Returns false (and stays on float) for policies without a native
+  /// int8 path; only the kernel policy has one.
   virtual bool enable_quant(const Observation* const* calib, std::size_t n) {
     (void)calib;
     (void)n;
@@ -97,12 +83,9 @@ class Policy {
   virtual void disable_quant() {}
   virtual bool quant_enabled() const { return false; }
 
-  /// Quantized counterparts of logits() / logits_batch(). Batched rows
-  /// are bitwise identical to the unbatched quantized forward; with
-  /// quantization disabled both defer to the float path exactly.
-  virtual Logits logits_quant(const Observation& obs) const {
-    return logits(obs);
-  }
+  /// Quantized counterpart of logits_batch(): row k is bitwise identical
+  /// to the n == 1 quantized call on *obs[k]; with quantization disabled it
+  /// defers to logits_batch() exactly.
   virtual void logits_quant_batch(const Observation* const* obs,
                                   std::size_t n, float* out) const {
     logits_batch(obs, n, out);

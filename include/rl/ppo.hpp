@@ -97,6 +97,11 @@ class PPOTrainer {
   /// Collect trajectories_per_epoch rollouts and run the PPO update.
   EpochStats train_epoch();
 
+  // The evaluate* calls are const but not thread-safe: they run the
+  // trainer's own policy (whose activation scratch they write), and
+  // evaluate_batch() builds its evaluator on first use. One trainer serves
+  // one caller at a time; serve::Daemon is the concurrent serving path.
+
   /// Greedy (argmax) rollout of the current policy on an arbitrary
   /// sequence/cluster.
   sim::RunResult evaluate(const std::vector<trace::Job>& seq, int processors,

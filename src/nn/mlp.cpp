@@ -41,10 +41,6 @@ void FlatMlp::init(float* params, util::Rng& rng, float out_scale) const {
   }
 }
 
-const float* FlatMlp::forward(const float* params, const float* x) const {
-  return forward_batch(params, x, 1);
-}
-
 const float* FlatMlp::forward_batch(const float* params, const float* X,
                                     std::size_t n) const {
   ensure_batch(n);
@@ -58,12 +54,6 @@ const float* FlatMlp::forward_batch(const float* params, const float* X,
     in = out;
   }
   return in;
-}
-
-void FlatMlp::backward(const float* params, const float* x, const float* dout,
-                       float* gparams, float* dx, bool recompute) const {
-  if (recompute) forward(params, x);  // else trust act_ from forward()
-  backward_batch(params, x, dout, gparams, 1, 0, nullptr, dx);
 }
 
 void FlatMlp::backward_batch(const float* params, const float* X,

@@ -6,10 +6,11 @@
 
 namespace rlsched::rl {
 
-void batched_argmax(const Policy& policy, const Observation* const* obs,
-                    std::size_t n, float* logits_slab,
-                    std::uint32_t* actions) {
-  policy.logits_batch(obs, n, logits_slab);
+namespace {
+
+/// Per-window masked argmax over a window-major logits slab.
+void argmax_rows(const Observation* const* obs, std::size_t n,
+                 const float* logits_slab, std::uint32_t* actions) {
   for (std::size_t k = 0; k < n; ++k) {
     actions[k] = static_cast<std::uint32_t>(
         nn::argmax_masked(logits_slab + k * kMaxObservable,
@@ -17,15 +18,20 @@ void batched_argmax(const Policy& policy, const Observation* const* obs,
   }
 }
 
+}  // namespace
+
+void batched_argmax(const Policy& policy, const Observation* const* obs,
+                    std::size_t n, float* logits_slab,
+                    std::uint32_t* actions) {
+  policy.logits_batch(obs, n, logits_slab);
+  argmax_rows(obs, n, logits_slab, actions);
+}
+
 void batched_argmax_quant(const Policy& policy, const Observation* const* obs,
                           std::size_t n, float* logits_slab,
                           std::uint32_t* actions) {
   policy.logits_quant_batch(obs, n, logits_slab);
-  for (std::size_t k = 0; k < n; ++k) {
-    actions[k] = static_cast<std::uint32_t>(
-        nn::argmax_masked(logits_slab + k * kMaxObservable,
-                          obs[k]->mask.data(), kMaxObservable));
-  }
+  argmax_rows(obs, n, logits_slab, actions);
 }
 
 BatchedEvaluator::BatchedEvaluator(const Policy& policy, std::size_t batch)

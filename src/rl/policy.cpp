@@ -23,36 +23,19 @@ std::string policy_kind_name(PolicyKind k) {
   return "unknown";
 }
 
-// ---------------------------------------------------------------------------
-// Base-class batched entry points: a correct (window-looping) fallback for
-// policies without a native batched pass. logits_batch rows are trivially
-// bitwise identical to logits(); backward_batch recomputes each window's
-// forward before its backward (so it pairs with nothing), which is why
-// supports_batched_update() defaults to false.
-// ---------------------------------------------------------------------------
-
-void Policy::logits_batch(const Observation* const* obs, std::size_t n,
-                          float* out) const {
-  for (std::size_t k = 0; k < n; ++k) {
-    const Logits l = logits(*obs[k]);
-    std::memcpy(out + k * kMaxObservable, l.data(), sizeof(l));
-  }
-}
-
-void Policy::backward_batch(const Observation* const* obs, std::size_t n,
-                            const float* dlogits,
-                            const std::uint8_t* win_active,
-                            float* gparams) const {
-  Logits dl;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (win_active != nullptr && win_active[k] == 0) continue;
-    (void)logits(*obs[k]);  // refresh this window's activations
-    std::memcpy(dl.data(), dlogits + k * kMaxObservable, sizeof(dl));
-    backward(*obs[k], dl, gparams);
-  }
-}
-
 namespace {
+
+/// dst (cols x rows) = the transpose of src (rows x cols). Moves window-major
+/// logits rows onto a FlatMlp's SoA sample axis (element o of window k at
+/// soa[o * n + k]) and back; a pure copy.
+void transpose(const float* src, std::size_t rows, std::size_t cols,
+               float* dst) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      dst[c * rows + r] = src[r * cols + c];
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Kernel network: shared per-job MLP {features, 32, 16, 8, 1} evaluated as
@@ -99,18 +82,6 @@ class KernelPolicy final : public Policy {
     }
   }
 
-  Logits logits(const Observation& obs) const override {
-    const float* top = forward_window(obs.features.data(), 0);
-    Logits out;
-    std::memcpy(out.data(), top, sizeof(out));
-    return out;
-  }
-
-  void backward(const Observation& obs, const Logits& dlogits,
-                float* gparams) const override {
-    backward_window(obs.features.data(), 0, dlogits.data(), gparams);
-  }
-
   void logits_batch(const Observation* const* obs, std::size_t n,
                     float* out) const override {
     ensure_batch(n);
@@ -122,8 +93,6 @@ class KernelPolicy final : public Policy {
   }
 
   void reserve_batch(std::size_t n) const override { ensure_batch(n); }
-
-  bool supports_batched_update() const override { return true; }
 
   void backward_batch(const Observation* const* obs, std::size_t n,
                       const float* dlogits, const std::uint8_t* win_active,
@@ -144,8 +113,6 @@ class KernelPolicy final : public Policy {
   // (ping-pong between two 4 KB scratch slabs), and the 1-wide head
   // dequantizes straight into the logits row. Inference only — training
   // stays float, so enable_quant() is a snapshot of the current weights.
-
-  bool supports_quant() const override { return true; }
 
   bool enable_quant(const Observation* const* calib,
                     std::size_t n) override {
@@ -224,13 +191,6 @@ class KernelPolicy final : public Policy {
 
   void disable_quant() override { quant_on_ = false; }
   bool quant_enabled() const override { return quant_on_; }
-
-  Logits logits_quant(const Observation& obs) const override {
-    if (!quant_on_) return logits(obs);
-    Logits out;
-    quant_window(obs.features.data(), out.data());
-    return out;
-  }
 
   void logits_quant_batch(const Observation* const* obs, std::size_t n,
                           float* out) const override {
@@ -335,7 +295,7 @@ class KernelPolicy final : public Policy {
 // point in Fig 8. Batched entry points stack observations along the SAMPLE
 // axis of the FlatMlp (J = n columns), amortizing the big weight matrices
 // across the batch; per-sample (window=1) gradient reductions keep the
-// update bitwise identical to sequential per-sample backwards.
+// update bitwise identical to one-window calls in window order.
 // ---------------------------------------------------------------------------
 class MlpPolicy final : public Policy {
  public:
@@ -343,19 +303,6 @@ class MlpPolicy final : public Policy {
       : kind_(kind), net_(make_sizes(std::move(hidden))) {
     params_.resize(net_.param_count());
     net_.init(params_.data(), rng, 0.01f);
-  }
-
-  Logits logits(const Observation& obs) const override {
-    const float* out = net_.forward(params_.data(), obs.features.data());
-    Logits l;
-    std::memcpy(l.data(), out, sizeof(l));
-    return l;
-  }
-
-  void backward(const Observation& obs, const Logits& dlogits,
-                float* gparams) const override {
-    net_.backward(params_.data(), obs.features.data(), dlogits.data(),
-                  gparams, nullptr, /*recompute=*/false);
   }
 
   void logits_batch(const Observation* const* obs, std::size_t n,
@@ -368,11 +315,8 @@ class MlpPolicy final : public Policy {
       const float* f = obs[k]->features.data();
       for (std::size_t i = 0; i < in; ++i) x_[i * n + k] = f[i];
     }
-    const float* soa = net_.forward_batch(params_.data(), x_.data(), n);
-    for (std::size_t k = 0; k < n; ++k) {
-      float* row = out + k * kMaxObservable;
-      for (std::size_t o = 0; o < kMaxObservable; ++o) row[o] = soa[o * n + k];
-    }
+    transpose(net_.forward_batch(params_.data(), x_.data(), n),
+              kMaxObservable, n, out);
   }
 
   void reserve_batch(std::size_t n) const override {
@@ -380,18 +324,11 @@ class MlpPolicy final : public Policy {
     net_.reserve_batch(n);
   }
 
-  bool supports_batched_update() const override { return true; }
-
   void backward_batch(const Observation* const* obs, std::size_t n,
                       const float* dlogits, const std::uint8_t* win_active,
                       float* gparams) const override {
     (void)obs;  // x_ still holds the transposed pack from logits_batch
-    for (std::size_t k = 0; k < n; ++k) {
-      const float* row = dlogits + k * kMaxObservable;
-      for (std::size_t o = 0; o < kMaxObservable; ++o) {
-        dsoa_[o * n + k] = row[o];
-      }
-    }
+    transpose(dlogits, n, kMaxObservable, dsoa_.data());
     net_.backward_batch(params_.data(), x_.data(), dsoa_.data(), gparams, n,
                         /*window=*/1, win_active, nullptr);
   }
@@ -422,12 +359,15 @@ class MlpPolicy final : public Policy {
 // ---------------------------------------------------------------------------
 // LeNet-style baseline: conv1d/pool stacks along the job axis, then a dense
 // head. Pooling mixes neighbouring queue slots — the order sensitivity that
-// degrades its training curves.
+// degrades its training curves. Each window runs its conv/pool stack into
+// its own block of a window-major slab; the head runs once along the sample
+// axis, as in MlpPolicy. Head and conv parameters are disjoint, so the head
+// backward of every window before the conv backwards (window order) keeps
+// each parameter's float-add sequence that of one-window calls.
 // ---------------------------------------------------------------------------
 class LeNetPolicy final : public Policy {
  public:
-  explicit LeNetPolicy(util::Rng& rng)
-      : head_({kC2 * (kMaxObservable / 4), 64, kMaxObservable}) {
+  explicit LeNetPolicy(util::Rng& rng) : head_({kHeadIn, 64, kMaxObservable}) {
     conv1_w_ = 0;
     conv1_b_ = conv1_w_ + kC1 * kJobFeatures * kK;
     conv2_w_ = conv1_b_ + kC1;
@@ -445,58 +385,84 @@ class LeNetPolicy final : public Policy {
     init_conv(conv1_w_, kC1 * kJobFeatures * kK, kJobFeatures * kK);
     init_conv(conv2_w_, kC2 * kC1 * kK, kC1 * kK);
     head_.init(params_.data() + head_off_, rng, 0.01f);
-
-    c1_.resize(kC1 * kMaxObservable);
-    p1_.resize(kC1 * (kMaxObservable / 2));
-    c2_.resize(kC2 * (kMaxObservable / 2));
-    p2_.resize(kC2 * (kMaxObservable / 4));
-    dc1_.resize(c1_.size());
-    dp1_.resize(p1_.size());
-    dc2_.resize(c2_.size());
-    dp2_.resize(p2_.size());
+    dact_.resize(kUnit);
   }
 
-  Logits logits(const Observation& obs) const override {
-    forward(obs);
-    const float* out = head_.forward(params_.data() + head_off_, p2_.data());
-    Logits l;
-    std::memcpy(l.data(), out, sizeof(l));
-    return l;
-  }
-
-  void backward(const Observation& obs, const Logits& dlogits,
-                float* gparams) const override {
-    head_.backward(params_.data() + head_off_, p2_.data(), dlogits.data(),
-                   gparams + head_off_, dp2_.data(), /*recompute=*/false);
+  void logits_batch(const Observation* const* obs, std::size_t n,
+                    float* out) const override {
     constexpr std::size_t L = kMaxObservable;
-    nn::avgpool2_backward(dp2_.data(), dc2_.data(), kC2, L / 2);
-    nn::conv1d_backward(params_.data() + conv2_w_, p1_.data(), c2_.data(),
-                        dc2_.data(), dp1_.data(), gparams + conv2_w_,
-                        gparams + conv2_b_, kC2, kC1, L / 2, kK, true);
-    nn::avgpool2_backward(dp1_.data(), dc1_.data(), kC1, L);
-    nn::conv1d_backward(params_.data() + conv1_w_, obs.features.data(),
-                        c1_.data(), dc1_.data(), nullptr, gparams + conv1_w_,
-                        gparams + conv1_b_, kC1, kJobFeatures, L, kK, true);
+    const float* p = params_.data();
+    ensure_batch(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      float* a = act_.data() + k * kUnit;
+      nn::conv1d_forward(p + conv1_w_, p + conv1_b_, obs[k]->features.data(),
+                         a, kC1, kJobFeatures, L, kK, true);
+      nn::avgpool2_forward(a, a + kAtP1, kC1, L);
+      nn::conv1d_forward(p + conv2_w_, p + conv2_b_, a + kAtP1, a + kAtC2,
+                         kC2, kC1, L / 2, kK, true);
+      nn::avgpool2_forward(a + kAtC2, a + kAtP2, kC2, L / 2);
+      for (std::size_t i = 0; i < kHeadIn; ++i) x_[i * n + k] = a[kAtP2 + i];
+    }
+    transpose(head_.forward_batch(p + head_off_, x_.data(), n),
+              kMaxObservable, n, out);
+  }
+
+  void reserve_batch(std::size_t n) const override {
+    ensure_batch(n);
+    head_.reserve_batch(n);
+  }
+
+  void backward_batch(const Observation* const* obs, std::size_t n,
+                      const float* dlogits, const std::uint8_t* win_active,
+                      float* gparams) const override {
+    constexpr std::size_t L = kMaxObservable;
+    const float* p = params_.data();
+    float* d = dact_.data();
+    transpose(dlogits, n, kMaxObservable, dsoa_.data());
+    head_.backward_batch(p + head_off_, x_.data(), dsoa_.data(),
+                         gparams + head_off_, n, /*window=*/1, win_active,
+                         dx_.data());
+    for (std::size_t k = 0; k < n; ++k) {
+      if (win_active != nullptr && win_active[k] == 0) continue;
+      const float* a = act_.data() + k * kUnit;
+      for (std::size_t i = 0; i < kHeadIn; ++i) d[kAtP2 + i] = dx_[i * n + k];
+      nn::avgpool2_backward(d + kAtP2, d + kAtC2, kC2, L / 2);
+      nn::conv1d_backward(p + conv2_w_, a + kAtP1, a + kAtC2, d + kAtC2,
+                          d + kAtP1, gparams + conv2_w_, gparams + conv2_b_,
+                          kC2, kC1, L / 2, kK, true);
+      nn::avgpool2_backward(d + kAtP1, d, kC1, L);
+      nn::conv1d_backward(p + conv1_w_, obs[k]->features.data(), a, d,
+                          nullptr, gparams + conv1_w_, gparams + conv1_b_,
+                          kC1, kJobFeatures, L, kK, true);
+    }
   }
 
   PolicyKind kind() const override { return PolicyKind::LeNet; }
 
  private:
-  void forward(const Observation& obs) const {
-    constexpr std::size_t L = kMaxObservable;
-    nn::conv1d_forward(params_.data() + conv1_w_, params_.data() + conv1_b_,
-                       obs.features.data(), c1_.data(), kC1, kJobFeatures, L,
-                       kK, true);
-    nn::avgpool2_forward(c1_.data(), p1_.data(), kC1, L);
-    nn::conv1d_forward(params_.data() + conv2_w_, params_.data() + conv2_b_,
-                       p1_.data(), c2_.data(), kC2, kC1, L / 2, kK, true);
-    nn::avgpool2_forward(c2_.data(), p2_.data(), kC2, L / 2);
+  void ensure_batch(std::size_t n) const {
+    if (n <= batch_cap_) return;
+    batch_cap_ = n;
+    act_.resize(kUnit * n);
+    x_.resize(kHeadIn * n);
+    dx_.resize(kHeadIn * n);
+    dsoa_.resize(kMaxObservable * n);
   }
 
   static constexpr std::size_t kC1 = 8, kC2 = 8, kK = 5;
+  // A window's block: c1 (kC1 x 128) at 0, p1 (kC1 x 64), c2 (kC2 x 64)
+  // and p2 (kC2 x 32, the head input) at these offsets.
+  static constexpr std::size_t kAtP1 = kC1 * kMaxObservable,
+                               kAtC2 = kAtP1 + kC1 * kMaxObservable / 2,
+                               kAtP2 = kAtC2 + kC2 * kMaxObservable / 2,
+                               kHeadIn = kC2 * kMaxObservable / 4,
+                               kUnit = kAtP2 + kHeadIn;
   std::size_t conv1_w_, conv1_b_, conv2_w_, conv2_b_, head_off_;
   nn::FlatMlp head_;
-  mutable std::vector<float> c1_, p1_, c2_, p2_, dc1_, dp1_, dc2_, dp2_;
+  mutable std::size_t batch_cap_ = 0;
+  mutable std::vector<float> act_;   ///< window-major activation blocks
+  mutable std::vector<float> dact_;  ///< one window's gradients, same layout
+  mutable std::vector<float> x_, dx_, dsoa_;  ///< head input, dX, dOut (SoA)
 };
 
 }  // namespace

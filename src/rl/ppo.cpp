@@ -383,78 +383,46 @@ void PPOTrainer::update_policy() {
 
       // Parameters moved in the previous Adam step — refresh the clones.
       sync_worker_policies();
-      const bool batched = policy_->supports_batched_update();
       pool_.for_each_index(nchunks, [&](std::size_t ci, std::size_t wid) {
         Worker& w = *workers_[wid];
         float* g = chunk_grad_[ci].data();
         std::fill_n(g, np, 0.0f);
         double kl = 0.0;
         const std::size_t cb = start + ci * kGradChunk;
-        const std::size_t ce = std::min(cb + kGradChunk, stop);
-        if (batched) {
-          // Batched chunk: ONE forward scores all samples (job axis
-          // m x 128), the clip test marks saturated samples inactive, and
-          // ONE backward accumulates the survivors with per-window
-          // order-stable reductions — bitwise identical to the per-sample
-          // path below.
-          const std::size_t m = ce - cb;
-          for (std::size_t q = 0; q < m; ++q) {
-            w.obs_ptr[q] = obs_ptr_[perm_[cb + q]];
-          }
-          w.policy->logits_batch(w.obs_ptr.data(), m, w.logits.data());
-          for (std::size_t q = 0; q < m; ++q) {
-            const std::size_t i = perm_[cb + q];
-            const Observation& obs = *w.obs_ptr[q];
-            nn::softmax_masked(w.logits.data() + q * kMaxObservable,
-                               obs.mask.data(), w.probs.data(),
-                               kMaxObservable);
-            const std::uint32_t a = act_buf_[i];
-            const float logp_new = std::log(std::max(w.probs[a], 1e-10f));
-            const float ratio = std::exp(logp_new - logp_buf_[i]);
-            const float adv = adv_buf_[i];
-            kl += logp_buf_[i] - logp_new;
-            const bool clipped =
-                (adv >= 0.0f && ratio > 1.0f + cfg_.clip) ||
-                (adv < 0.0f && ratio < 1.0f - cfg_.clip);
-            w.active[q] = clipped ? 0 : 1;
-            if (clipped) continue;
-            const float coef = ratio * adv * inv_batch;
-            float* dl = w.dlogits.data() + q * kMaxObservable;
-            for (std::size_t k = 0; k < kMaxObservable; ++k) {
-              // d(-logpi[a])/dlogits = probs - onehot(a), times -coef
-              dl[k] = coef * w.probs[k];
-            }
-            dl[a] -= coef;
-          }
-          w.policy->backward_batch(w.obs_ptr.data(), m, w.dlogits.data(),
-                                   w.active.data(), g);
-        } else {
-          Logits dlogits;
-          for (std::size_t s = cb; s < ce; ++s) {
-            const std::size_t i = perm_[s];
-            const Observation& obs = *obs_ptr_[i];
-            const Logits logits = w.policy->logits(obs);
-            nn::softmax_masked(logits.data(), obs.mask.data(),
-                               w.probs.data(), kMaxObservable);
-            const std::uint32_t a = act_buf_[i];
-            const float logp_new = std::log(std::max(w.probs[a], 1e-10f));
-            const float ratio = std::exp(logp_new - logp_buf_[i]);
-            const float adv = adv_buf_[i];
-            kl += logp_buf_[i] - logp_new;
-            // Clipped surrogate: zero gradient once the ratio leaves the
-            // trust region in the advantage's direction.
-            const bool clipped =
-                (adv >= 0.0f && ratio > 1.0f + cfg_.clip) ||
-                (adv < 0.0f && ratio < 1.0f - cfg_.clip);
-            if (clipped) continue;
-            const float coef = ratio * adv * inv_batch;
-            for (std::size_t k = 0; k < kMaxObservable; ++k) {
-              dlogits[k] = coef * w.probs[k];
-            }
-            dlogits[a] -= coef;
-            w.policy->backward(obs, dlogits, g);
-          }
+        const std::size_t m = std::min(cb + kGradChunk, stop) - cb;
+        // ONE forward scores the chunk's samples, the clip test marks
+        // saturated samples inactive, and ONE backward accumulates the
+        // survivors with per-window order-stable reductions.
+        for (std::size_t q = 0; q < m; ++q) {
+          w.obs_ptr[q] = obs_ptr_[perm_[cb + q]];
         }
+        w.policy->logits_batch(w.obs_ptr.data(), m, w.logits.data());
+        for (std::size_t q = 0; q < m; ++q) {
+          const std::size_t i = perm_[cb + q];
+          nn::softmax_masked(w.logits.data() + q * kMaxObservable,
+                             w.obs_ptr[q]->mask.data(), w.probs.data(),
+                             kMaxObservable);
+          const std::uint32_t a = act_buf_[i];
+          const float logp_new = std::log(std::max(w.probs[a], 1e-10f));
+          const float ratio = std::exp(logp_new - logp_buf_[i]);
+          const float adv = adv_buf_[i];
+          kl += logp_buf_[i] - logp_new;
+          // Clipped surrogate: zero gradient once the ratio leaves the
+          // trust region in the advantage's direction.
+          const bool clipped = (adv >= 0.0f && ratio > 1.0f + cfg_.clip) ||
+                               (adv < 0.0f && ratio < 1.0f - cfg_.clip);
+          w.active[q] = clipped ? 0 : 1;
+          if (clipped) continue;
+          const float coef = ratio * adv * inv_batch;
+          float* dl = w.dlogits.data() + q * kMaxObservable;
+          for (std::size_t k = 0; k < kMaxObservable; ++k) {
+            // d(-logpi[a])/dlogits = probs - onehot(a), times -coef
+            dl[k] = coef * w.probs[k];
+          }
+          dl[a] -= coef;
+        }
+        w.policy->backward_batch(w.obs_ptr.data(), m, w.dlogits.data(),
+                                 w.active.data(), g);
         chunk_kl_[ci] = kl;
       });
 
@@ -549,11 +517,13 @@ EpochStats PPOTrainer::train_epoch() {
 
 sim::RunResult PPOTrainer::greedy(sim::SchedulingEnv& env) const {
   Observation obs;
+  const Observation* ptr = &obs;
+  Logits logits;
+  std::uint32_t action = 0;
   while (!env.done()) {
     builder_.build_into(env, obs);
-    const Logits logits = policy_->logits(obs);
-    env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
-                               kMaxObservable));
+    batched_argmax(*policy_, &ptr, 1, logits.data(), &action);
+    env.step(action);
   }
   return env.result();
 }

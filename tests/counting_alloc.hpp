@@ -10,30 +10,31 @@
 //
 // Deliberately NO align_val_t overloads: the gates have counted only the
 // plain forms since the seed, and widening what counts would move the
-// goalposts of every recorded gate. tests/test_parallel_rollout.cpp keeps
-// its own std::atomic variant — these counters are single-threaded.
+// goalposts of every recorded gate. The counter is atomic because
+// test_parallel_rollout counts the allocations of its pool threads too.
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
 
-static unsigned long long g_allocs = 0;
+static std::atomic<unsigned long long> g_allocs{0};
 
 void* operator new(std::size_t size) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size);
 }
 void operator delete(void* p) noexcept { std::free(p); }

@@ -2,11 +2,15 @@
 // {1, 3, 8, 32} a trainer configured with inference batch width B produces
 // BITWISE identical trajectories, metrics, and updated parameters to the
 // unbatched (B=1) trainer, and evaluate_batch() reproduces the per-sequence
-// evaluate() results bit for bit. Also gates the zero-allocation discipline
-// of the batched decision loop (pack + B x 128 forward + per-window argmax)
-// after warmup.
+// evaluate() results bit for bit. For every network, one masked backward
+// over a batch of windows equals one-window calls in window order, bitwise.
+// Also gates the zero-allocation discipline of the batched decision loop
+// (pack + B x 128 forward + per-window argmax) after warmup.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <new>
 
 #include "counting_alloc.hpp"
@@ -17,31 +21,13 @@
 #include "rl/batch_eval.hpp"
 #include "rl/ppo.hpp"
 #include "util/rng.hpp"
-#include "workload/synthetic.hpp"
 
+#include "rl_fixtures.hpp"
 #include "test_util.hpp"
 
 namespace {
 
 using namespace rlsched;
-
-// Congested workload (multi-job windows at every decision) so batching has
-// real windows to pack and gradients are non-trivial.
-trace::Trace congested_trace() {
-  util::Rng rng(99);
-  std::vector<trace::Job> jobs;
-  for (int i = 0; i < 1200; ++i) {
-    trace::Job j;
-    j.id = i + 1;
-    j.submit_time = 20.0 * i;
-    j.requested_time = 600.0 + 4000.0 * rng.uniform();
-    j.run_time = j.requested_time * rng.uniform(0.5, 1.0);
-    j.requested_procs = 1 + static_cast<int>(rng.below(48));
-    j.user = 1 + static_cast<int>(rng.below(6));
-    jobs.push_back(j);
-  }
-  return trace::Trace("congested", 128, std::move(jobs));
-}
 
 rl::PPOConfig test_config(std::size_t batch, rl::PolicyKind kind) {
   rl::PPOConfig cfg;
@@ -56,33 +42,13 @@ rl::PPOConfig test_config(std::size_t batch, rl::PolicyKind kind) {
   return cfg;
 }
 
-void check_epochs_identical(const rl::PPOTrainer& a, const rl::PPOTrainer& b) {
-  CHECK(a.steps() == b.steps());
-  CHECK(a.trajectory_ends() == b.trajectory_ends());
-  for (std::size_t i = 0; i < a.steps(); ++i) {
-    const rl::Observation& oa = a.observation(i);
-    const rl::Observation& ob = b.observation(i);
-    CHECK(oa.count == ob.count);
-    CHECK(oa.mask == ob.mask);
-    CHECK(oa.features == ob.features);  // bitwise float equality
-  }
-  CHECK(a.actions() == b.actions());
-  CHECK(a.logps() == b.logps());
-  CHECK(a.values() == b.values());
-  CHECK(a.advantages() == b.advantages());
-  CHECK(a.returns() == b.returns());
-  CHECK(a.terminal_rewards() == b.terminal_rewards());
-  CHECK(a.policy().param_vector() == b.policy().param_vector());
-  CHECK(a.value_params() == b.value_params());
-}
-
 // Training: batch width B must be bitwise invisible in trajectories,
 // metrics, and UPDATED parameters (collection lockstep + batched update
 // chunks both reduce order-stably).
 void check_training_batch_invariance(rl::PolicyKind kind,
                                      const std::vector<std::size_t>& widths,
                                      std::size_t epochs) {
-  const auto trace = congested_trace();
+  const auto trace = test::congested_trace();
   rl::PPOTrainer reference(trace, test_config(1, kind));
   std::vector<double> ref_metric;
   for (std::size_t e = 0; e < epochs; ++e) {
@@ -93,14 +59,14 @@ void check_training_batch_invariance(rl::PolicyKind kind,
     for (std::size_t e = 0; e < epochs; ++e) {
       CHECK(batched.train_epoch().avg_metric == ref_metric[e]);
     }
-    check_epochs_identical(reference, batched);
+    test::check_epochs_identical(reference, batched);
   }
 }
 
 // Evaluation sweeps: evaluate_batch() == per-sequence evaluate(), bitwise,
 // for every batch width and with backfilling on and off.
 void check_eval_batch_invariance() {
-  const auto trace = congested_trace();
+  const auto trace = test::congested_trace();
   rl::PPOTrainer trainer(trace, test_config(1, rl::PolicyKind::Kernel));
   trainer.train_epoch();  // move off the random init
 
@@ -129,22 +95,13 @@ void check_eval_batch_invariance() {
 // argmax) must be allocation-free once its scratch is warm, and every
 // batched action must equal the unbatched argmax.
 void check_batched_decision_zero_alloc() {
-  const auto trace = congested_trace();
   util::Rng rng(5);
   const auto policy =
       rl::make_policy(rl::PolicyKind::Kernel, rl::kMaxObservable, rng);
-  const rl::ObservationBuilder builder;
-
   constexpr std::size_t B = 32;
-  std::vector<rl::Observation> obs(B);
-  std::vector<const rl::Observation*> obs_ptr(B);
-  sim::SchedulingEnv env(trace.processors());
-  env.reset(trace.sequence(0, 256));
-  for (std::size_t k = 0; k < B; ++k) {
-    builder.build_into(env, obs[k]);
-    obs_ptr[k] = &obs[k];
-    env.step(0);
-  }
+  const std::vector<rl::Observation> obs = test::decision_windows(B);
+  std::vector<const rl::Observation*> obs_ptr;
+  for (const rl::Observation& o : obs) obs_ptr.push_back(&o);
   std::vector<float> logits(B * rl::kMaxObservable);
   std::vector<std::uint32_t> actions(B);
 
@@ -162,8 +119,9 @@ void check_batched_decision_zero_alloc() {
     std::exit(1);
   }
 
+  rl::Logits single;
   for (std::size_t k = 0; k < B; ++k) {
-    const rl::Logits single = policy->logits(obs[k]);
+    policy->logits_batch(&obs_ptr[k], 1, single.data());
     const std::size_t a = nn::argmax_masked(single.data(),
                                             obs[k].mask.data(),
                                             rl::kMaxObservable);
@@ -175,17 +133,61 @@ void check_batched_decision_zero_alloc() {
   }
 }
 
+// The contract of Policy::backward_batch, for every network: one forward
+// and one masked backward over 7 windows accumulate bitwise the gradient
+// of one-window forward/backward pairs in window order, skipping the
+// inactive windows. The mask leaves the first and last windows out and
+// has active runs of 1 and 2; inactive rows of dlogits are NaN, so any
+// read of them poisons the gradient.
+void check_masked_backward_equals_windows(rl::PolicyKind kind) {
+  util::Rng rng(31);
+  const auto policy = rl::make_policy(kind, rl::kMaxObservable, rng);
+  constexpr std::size_t n = 7;
+  constexpr std::uint8_t active[n] = {0, 1, 1, 0, 1, 0, 0};
+  const std::vector<rl::Observation> obs = test::decision_windows(n);
+  std::vector<const rl::Observation*> obs_ptr;
+  for (const rl::Observation& o : obs) obs_ptr.push_back(&o);
+  std::vector<float> dlogits(n * rl::kMaxObservable);
+  for (std::size_t i = 0; i < dlogits.size(); ++i) {
+    dlogits[i] = active[i / rl::kMaxObservable]
+                     ? static_cast<float>(rng.normal())
+                     : std::numeric_limits<float>::quiet_NaN();
+  }
+
+  const std::size_t np = policy->parameter_count();
+  std::vector<float> batched(np, 0.0f), one_by_one(np, 0.0f);
+  std::vector<float> out(dlogits.size());
+  policy->logits_batch(obs_ptr.data(), n, out.data());
+  policy->backward_batch(obs_ptr.data(), n, dlogits.data(), active,
+                         batched.data());
+  for (std::size_t k = 0; k < n; ++k) {
+    if (active[k] == 0) continue;
+    policy->logits_batch(&obs_ptr[k], 1, out.data());
+    policy->backward_batch(&obs_ptr[k], 1,
+                           dlogits.data() + k * rl::kMaxObservable, nullptr,
+                           one_by_one.data());
+  }
+  CHECK(std::memcmp(batched.data(), one_by_one.data(),
+                    np * sizeof(float)) == 0);
+  CHECK(std::any_of(batched.begin(), batched.end(),
+                    [](float g) { return g != 0.0f; }));
+}
+
 }  // namespace
 
 int main() {
   check_training_batch_invariance(rl::PolicyKind::Kernel, {3, 8, 32}, 2);
   // One epoch and one width suffice for the remaining code paths: MlpV1
-  // covers the sample-axis batched forward/backward, LeNet covers batched
-  // collection combined with the NON-batched per-sample update branch
-  // (supports_batched_update() == false). The kernel policy above carries
+  // covers the sample-axis batched forward/backward, LeNet its per-window
+  // conv stack under the sample-axis head. The kernel policy above carries
   // the full gate.
   check_training_batch_invariance(rl::PolicyKind::MlpV1, {8}, 1);
   check_training_batch_invariance(rl::PolicyKind::LeNet, {8}, 1);
+  for (const rl::PolicyKind kind :
+       {rl::PolicyKind::Kernel, rl::PolicyKind::MlpV1, rl::PolicyKind::MlpV2,
+        rl::PolicyKind::MlpV3, rl::PolicyKind::LeNet}) {
+    check_masked_backward_equals_windows(kind);
+  }
   check_eval_batch_invariance();
   check_batched_decision_zero_alloc();
   std::puts("batched inference bitwise invariance + zero-alloc: OK");

@@ -292,13 +292,13 @@ void check_flat_mlp_batch() {
     for (std::size_t k = 0; k < n; ++k) {
       float xk[6];
       for (std::size_t i = 0; i < 6; ++i) xk[i] = X[i * n + k];
-      const float* out = net.forward(params.data(), xk);
+      const float* out = net.forward_batch(params.data(), xk, 1);
       for (std::size_t o = 0; o < 3; ++o) {
         CHECK(std::memcmp(&batched[o * n + k], &out[o], sizeof(float)) == 0);
       }
     }
 
-    // Per-sample-window batched backward == sequential backward() calls.
+    // Per-sample-window batched backward == sequential one-sample calls.
     std::vector<float> dOut(3 * n);
     fill(dOut, rng, 1.0);
     std::vector<float> g(net.param_count(), 0.0f), dX(6 * n, 0.0f);
@@ -310,7 +310,9 @@ void check_flat_mlp_batch() {
       float xk[6], dk[3], dxk[6];
       for (std::size_t i = 0; i < 6; ++i) xk[i] = X[i * n + k];
       for (std::size_t o = 0; o < 3; ++o) dk[o] = dOut[o * n + k];
-      net.backward(params.data(), xk, dk, gs.data(), dxk);
+      net.forward_batch(params.data(), xk, 1);
+      net.backward_batch(params.data(), xk, dk, gs.data(), 1, /*window=*/0,
+                         nullptr, dxk);
       for (std::size_t i = 0; i < 6; ++i) {
         CHECK(std::memcmp(&dX[i * n + k], &dxk[i], sizeof(float)) == 0);
       }

@@ -5,77 +5,28 @@
 // updated parameters. Also gates the zero-allocation discipline: after a
 // warmup epoch, a full train_epoch() (collection fan-out included) performs
 // no heap allocation on any thread. Both checks run with trajectory
-// filtering off and on.
-#include <atomic>
+// filtering off and on, and for the LeNet baseline (filtering off), whose
+// per-worker clones carry their own batch scratch.
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
-static std::atomic<unsigned long long> g_allocs{0};
+#include "counting_alloc.hpp"
 
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-// Nothrow family too — a partial override mixes allocator families
-// (miscounts, and trips ASan's alloc-dealloc-mismatch check).
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
+#include <utility>
 #include <vector>
 
 #include "rl/ppo.hpp"
-#include "util/rng.hpp"
-#include "workload/synthetic.hpp"
 
+#include "rl_fixtures.hpp"
 #include "test_util.hpp"
 
 namespace {
 
 using namespace rlsched;
 
-// Congested workload (multi-job windows at every decision) so the policy
-// actually has choices and gradients are non-trivial.
-trace::Trace congested_trace() {
-  util::Rng rng(99);
-  std::vector<trace::Job> jobs;
-  for (int i = 0; i < 1200; ++i) {
-    trace::Job j;
-    j.id = i + 1;
-    j.submit_time = 20.0 * i;
-    j.requested_time = 600.0 + 4000.0 * rng.uniform();
-    j.run_time = j.requested_time * rng.uniform(0.5, 1.0);
-    j.requested_procs = 1 + static_cast<int>(rng.below(48));
-    j.user = 1 + static_cast<int>(rng.below(6));
-    jobs.push_back(j);
-  }
-  return trace::Trace("congested", 128, std::move(jobs));
-}
-
-rl::PPOConfig test_config(std::size_t workers, bool filtering) {
+rl::PPOConfig test_config(std::size_t workers, bool filtering,
+                          rl::PolicyKind kind) {
   rl::PPOConfig cfg;
+  cfg.policy = kind;
   cfg.trajectory_filtering = filtering;
   cfg.seq_len = 64;
   cfg.trajectories_per_epoch = 8;
@@ -87,31 +38,11 @@ rl::PPOConfig test_config(std::size_t workers, bool filtering) {
   return cfg;
 }
 
-void check_epochs_identical(const rl::PPOTrainer& a, const rl::PPOTrainer& b) {
-  CHECK(a.steps() == b.steps());
-  CHECK(a.trajectory_ends() == b.trajectory_ends());
-  for (std::size_t i = 0; i < a.steps(); ++i) {
-    const rl::Observation& oa = a.observation(i);
-    const rl::Observation& ob = b.observation(i);
-    CHECK(oa.count == ob.count);
-    CHECK(oa.mask == ob.mask);
-    CHECK(oa.features == ob.features);  // bitwise float equality
-  }
-  CHECK(a.actions() == b.actions());
-  CHECK(a.logps() == b.logps());
-  CHECK(a.values() == b.values());
-  CHECK(a.advantages() == b.advantages());
-  CHECK(a.returns() == b.returns());
-  CHECK(a.terminal_rewards() == b.terminal_rewards());
-  // Chunk-ordered gradient reduction: the UPDATED parameters match too.
-  CHECK(a.policy().param_vector() == b.policy().param_vector());
-  CHECK(a.value_params() == b.value_params());
-}
-
 /// Worker-count determinism and the warmed zero-alloc gate for one config.
-int check_config(const trace::Trace& trace, bool filtering) {
-  rl::PPOTrainer one(trace, test_config(1, filtering));
-  rl::PPOTrainer four(trace, test_config(4, filtering));
+int check_config(const trace::Trace& trace, bool filtering,
+                 rl::PolicyKind kind) {
+  rl::PPOTrainer one(trace, test_config(1, filtering, kind));
+  rl::PPOTrainer four(trace, test_config(4, filtering, kind));
   CHECK(one.worker_count() == 1);
   CHECK(four.worker_count() == 4);
 
@@ -120,14 +51,14 @@ int check_config(const trace::Trace& trace, bool filtering) {
   const auto s4 = four.train_epoch();
   CHECK(s1.avg_metric == s4.avg_metric);
   CHECK(one.steps() > 0);
-  check_epochs_identical(one, four);
+  test::check_epochs_identical(one, four);
 
   // Epoch 2: the substream bookkeeping advances identically, and epoch 2
   // trains on parameters produced by epoch 1's (parallel) update — any
   // divergence anywhere would compound and show up here.
   one.train_epoch();
   four.train_epoch();
-  check_epochs_identical(one, four);
+  test::check_epochs_identical(one, four);
 
   // Zero-allocation gate: with capacity warmed by two epochs, a further
   // full train_epoch — per-worker envs, sequence resampling (and, with
@@ -141,32 +72,37 @@ int check_config(const trace::Trace& trace, bool filtering) {
         g_allocs.load(std::memory_order_relaxed);
     if (after != before) {
       std::fprintf(stderr,
-                   "parallel train_epoch (filtering %d) allocated %llu times "
-                   "after warmup\n",
-                   filtering ? 1 : 0, after - before);
+                   "parallel train_epoch (%s, filtering %d) allocated %llu "
+                   "times after warmup\n",
+                   rl::policy_kind_name(kind).c_str(), filtering ? 1 : 0,
+                   after - before);
       return 1;
     }
   }
 
   // A different worker count mid-sweep (3: does not divide 8 trajectories
   // evenly) still matches.
-  rl::PPOTrainer three(trace, test_config(3, filtering));
+  rl::PPOTrainer three(trace, test_config(3, filtering, kind));
   three.train_epoch();
   three.train_epoch();
   three.train_epoch();
   one.train_epoch();
-  check_epochs_identical(one, three);
+  test::check_epochs_identical(one, three);
   return 0;
 }
 
 }  // namespace
 
 int main() {
-  const auto trace = congested_trace();
-  // Unfiltered sampling, and the paper's trajectory filtering (the e2e
-  // train workload's configuration).
-  for (const bool filtering : {false, true}) {
-    if (const int rc = check_config(trace, filtering); rc != 0) return rc;
+  const auto trace = test::congested_trace();
+  // Unfiltered sampling, the paper's trajectory filtering (the e2e train
+  // workload's configuration), and the LeNet baseline unfiltered.
+  const std::pair<bool, rl::PolicyKind> configs[] = {
+      {false, rl::PolicyKind::Kernel},
+      {true, rl::PolicyKind::Kernel},
+      {false, rl::PolicyKind::LeNet}};
+  for (const auto& [filtering, kind] : configs) {
+    if (const int rc = check_config(trace, filtering, kind); rc != 0) return rc;
   }
   std::puts("parallel rollout determinism + zero-alloc: OK");
   return 0;

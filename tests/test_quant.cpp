@@ -15,8 +15,8 @@
 //     epilogue);
 //   * quantize-on-load round-trip determinism: enable -> disable ->
 //     re-enable reproduces bit-identical quantized logits;
-//   * quantization OFF is bitwise invisible: logits_quant and the quant
-//     batched-argmax are the exact float path;
+//   * quantization OFF is bitwise invisible: logits_quant_batch and the
+//     quant batched-argmax are the exact float path;
 //   * accuracy fixture over real evaluation windows (trained policy):
 //     per-logit error bound vs float32, >= 99.9% masked-argmax agreement
 //     on decisive windows (float top-2 gap beyond the bound), bounded
@@ -245,13 +245,15 @@ std::vector<rl::Observation> collect_observations(const rl::Policy& policy,
     sim::SchedulingEnv env(trace.processors(),
                            sim::EnvConfig{true, rl::kMaxObservable});
     env.reset(jobs);
+    rl::Observation obs;
+    const rl::Observation* ptr = &obs;
+    rl::Logits l;
+    std::uint32_t action = 0;
     while (!env.done() && out.size() < limit) {
-      rl::Observation obs;
       builder.build_into(env, obs);
       out.push_back(obs);
-      const rl::Logits l = policy.logits(obs);
-      env.step(nn::argmax_masked(l.data(), obs.mask.data(),
-                                 rl::kMaxObservable));
+      rl::batched_argmax(policy, &ptr, 1, l.data(), &action);
+      env.step(action);
     }
   }
   return out;
@@ -288,42 +290,43 @@ void test_policy_quant() {
   std::vector<const rl::Observation*> ptrs;
   for (const rl::Observation& o : fixture) ptrs.push_back(&o);
 
+  // Float rows (logits_batch stays float with quantization on) and the
+  // quantized rows of the whole fixture, window-major.
+  constexpr std::size_t K = rl::kMaxObservable;
+  const std::size_t n = fixture.size();
+  const std::size_t bytes = n * K * sizeof(float);
+  std::vector<float> f(n * K), q(n * K), first(n * K);
+
   // OFF is bitwise invisible: the quant entry points ARE the float path.
-  CHECK(policy->supports_quant());
   CHECK(!policy->quant_enabled());
-  {
-    const rl::Logits f = policy->logits(fixture[0]);
-    const rl::Logits q = policy->logits_quant(fixture[0]);
-    CHECK(std::memcmp(f.data(), q.data(), sizeof(f)) == 0);
-  }
+  policy->logits_batch(ptrs.data(), n, f.data());
+  policy->logits_quant_batch(ptrs.data(), n, q.data());
+  CHECK(std::memcmp(f.data(), q.data(), bytes) == 0);
 
   // Calibrate on a prefix, evaluate on everything (held-out windows too).
   CHECK(policy->enable_quant(ptrs.data(), 64));
   CHECK(policy->quant_enabled());
 
   // Round-trip determinism of quantize-on-load.
-  std::vector<rl::Logits> first;
-  for (const rl::Observation& o : fixture) {
-    first.push_back(policy->logits_quant(o));
-  }
+  policy->logits_quant_batch(ptrs.data(), n, first.data());
   policy->disable_quant();
   CHECK(!policy->quant_enabled());
   CHECK(policy->enable_quant(ptrs.data(), 64));
-  for (std::size_t k = 0; k < fixture.size(); ++k) {
-    const rl::Logits q = policy->logits_quant(fixture[k]);
-    CHECK(std::memcmp(q.data(), first[k].data(), sizeof(q)) == 0);
-  }
+  policy->logits_quant_batch(ptrs.data(), n, q.data());
+  CHECK(std::memcmp(q.data(), first.data(), bytes) == 0);
 
-  // Batched quant rows == unbatched quant forward, bitwise.
+  // Batched quant rows == the one-window quant forward, bitwise, at n and
+  // at the B = 32 of the quant batched-argmax.
+  for (std::size_t k = 0; k < n; ++k) {
+    policy->logits_quant_batch(&ptrs[k], 1, q.data() + k * K);
+  }
+  CHECK(std::memcmp(q.data(), first.data(), bytes) == 0);
   const std::size_t B = 32;
-  std::vector<float> slab(B * rl::kMaxObservable);
+  std::vector<float> slab(B * K);
   std::vector<std::uint32_t> actions(B);
   rl::batched_argmax_quant(*policy, ptrs.data(), B, slab.data(),
                            actions.data());
-  for (std::size_t k = 0; k < B; ++k) {
-    CHECK(std::memcmp(slab.data() + k * rl::kMaxObservable, first[k].data(),
-                      sizeof(rl::Logits)) == 0);
-  }
+  CHECK(std::memcmp(slab.data(), first.data(), B * K * sizeof(float)) == 0);
 
   // Accuracy. Per-tensor int8 through four layers carries an error floor
   // of a few percent of the logit range, so raw argmax equality over ALL
@@ -339,32 +342,29 @@ void test_policy_quant() {
   //      pick is within 2*tol of the float-optimal score (also implied by
   //      gate 1; checked directly so a bound bug cannot hide).
   float logit_amax = 0.0f;
-  for (std::size_t k = 0; k < fixture.size(); ++k) {
-    const rl::Logits f = policy->logits(fixture[k]);
+  for (std::size_t k = 0; k < n; ++k) {
     for (std::size_t j = 0; j < fixture[k].count; ++j) {
-      logit_amax = std::max(logit_amax, std::fabs(f[j]));
+      logit_amax = std::max(logit_amax, std::fabs(f[k * K + j]));
     }
   }
   const float tol = 0.08f * std::max(logit_amax, 1e-3f);
   std::size_t decisive = 0, agree = 0;
   float err_max = 0.0f, regret_max = 0.0f;
-  for (std::size_t k = 0; k < fixture.size(); ++k) {
-    const rl::Logits f = policy->logits(fixture[k]);
-    const rl::Logits q = policy->logits_quant(fixture[k]);
+  for (std::size_t k = 0; k < n; ++k) {
+    const float* fk = f.data() + k * K;
+    const float* qk = first.data() + k * K;
     const std::uint8_t* mask = fixture[k].mask.data();
     for (std::size_t j = 0; j < fixture[k].count; ++j) {
-      err_max = std::max(err_max, std::fabs(q[j] - f[j]));
+      err_max = std::max(err_max, std::fabs(qk[j] - fk[j]));
     }
-    const std::size_t af = nn::argmax_masked(f.data(), mask,
-                                             rl::kMaxObservable);
-    const std::size_t aq = nn::argmax_masked(q.data(), mask,
-                                             rl::kMaxObservable);
-    regret_max = std::max(regret_max, f[af] - f[aq]);
+    const std::size_t af = nn::argmax_masked(fk, mask, K);
+    const std::size_t aq = nn::argmax_masked(qk, mask, K);
+    regret_max = std::max(regret_max, fk[af] - fk[aq]);
     float second = -std::numeric_limits<float>::infinity();
-    for (std::size_t j = 0; j < rl::kMaxObservable; ++j) {
-      if (mask[j] && j != af) second = std::max(second, f[j]);
+    for (std::size_t j = 0; j < K; ++j) {
+      if (mask[j] && j != af) second = std::max(second, fk[j]);
     }
-    if (f[af] - second > 2.0f * tol) {  // single-candidate gap = +inf
+    if (fk[af] - second > 2.0f * tol) {  // single-candidate gap = +inf
       ++decisive;
       agree += af == aq;
     }
@@ -383,13 +383,12 @@ void test_policy_quant() {
 
   // Disabled again -> float path, bitwise (the "off is off" gate).
   policy->disable_quant();
-  std::vector<float> slab_q(B * rl::kMaxObservable);
+  std::vector<float> slab_q(B * K);
   std::vector<std::uint32_t> actions_f(B), actions_q(B);
   rl::batched_argmax(*policy, ptrs.data(), B, slab.data(), actions_f.data());
   rl::batched_argmax_quant(*policy, ptrs.data(), B, slab_q.data(),
                            actions_q.data());
-  CHECK(std::memcmp(slab.data(), slab_q.data(),
-                    B * rl::kMaxObservable * sizeof(float)) == 0);
+  CHECK(std::memcmp(slab.data(), slab_q.data(), B * K * sizeof(float)) == 0);
   CHECK(actions_f == actions_q);
 }
 

@@ -34,7 +34,7 @@
 #include <utility>
 #include <vector>
 
-#include "nn/ops.hpp"
+#include "rl/batch_eval.hpp"
 #include "rl/observation.hpp"
 #include "rl/policy.hpp"
 #include "sched/heuristics.hpp"
@@ -170,13 +170,14 @@ std::pair<Run, Run> drive_kernel(const Context& c, sim::SchedulingEnv& env,
   ref.set_start_hook(&record_event, &want.events);
   const rl::ObservationBuilder builder;
   rl::Observation obs;
+  const rl::Observation* ptr = &obs;
+  rl::Logits logits;
+  std::uint32_t action = 0;
   while (!env.done()) {
     if (ref.done()) fail(c, "done() at a decision");
     check_observation_inputs(c, env, ref);
     builder.build_into(env, obs);
-    const rl::Logits logits = policy.logits(obs);
-    const std::size_t action =
-        nn::argmax_masked(logits.data(), obs.mask.data(), rl::kMaxObservable);
+    rl::batched_argmax(policy, &ptr, 1, logits.data(), &action);
     env.step(action);
     ref.step(action);
   }

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "nn/ops.hpp"
+#include "rl/batch_eval.hpp"
 #include "rl/observation.hpp"
 #include "rl/policy.hpp"
 #include "sched/heuristics.hpp"
@@ -76,11 +76,13 @@ Run run_kernel(sim::SchedulingEnv& env, const rl::Policy& policy) {
   env.set_start_hook(&record_event, &r.events);
   const rl::ObservationBuilder builder;
   rl::Observation obs;
+  const rl::Observation* ptr = &obs;
+  rl::Logits logits;
+  std::uint32_t action = 0;
   while (!env.done()) {
     builder.build_into(env, obs);
-    const rl::Logits logits = policy.logits(obs);
-    env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
-                               rl::kMaxObservable));
+    rl::batched_argmax(policy, &ptr, 1, logits.data(), &action);
+    env.step(action);
   }
   r.result = env.result();
   env.set_start_hook(nullptr, nullptr);

@@ -8,7 +8,7 @@
 
 #include "counting_alloc.hpp"
 
-#include "nn/ops.hpp"
+#include "rl/batch_eval.hpp"
 #include "rl/observation.hpp"
 #include "rl/policy.hpp"
 #include "sched/heuristics.hpp"
@@ -60,12 +60,14 @@ int main() {
     sim::SchedulingEnv env(trace.processors(), {.backfill = true});
     env.reset(seq);
     rl::Observation obs;
+    const rl::Observation* ptr = &obs;
+    rl::Logits logits;
+    std::uint32_t action = 0;
     const unsigned long long before = g_allocs;
     while (!env.done()) {
       builder.build_into(env, obs);
-      const auto logits = policy->logits(obs);
-      env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
-                                 rl::kMaxObservable));
+      rl::batched_argmax(*policy, &ptr, 1, logits.data(), &action);
+      env.step(action);
     }
     const unsigned long long after = g_allocs;
     if (after != before) {
