@@ -113,9 +113,12 @@ int main(int argc, char** argv) {
 
   {
     // Rollout decision point: policy scores + value estimate per window,
-    // as in PPOTrainer::collect_group (value input is the SoA-transposed
-    // observation features, packed inside the timed region exactly as the
-    // trainer packs them).
+    // as in PPOTrainer::collect_group. The value input is the
+    // SoA-transposed observation features, packed inside the timed region
+    // one sample at a time; the trainer's pack_value_input writes 8
+    // samples per feature row instead, so this row times a slower pack
+    // than training runs. The loop stays as it is because the gated
+    // baseline ratio was recorded with it.
     MetricRow row;
     row.name = "rollout_kernel";
     constexpr std::size_t obs_floats =

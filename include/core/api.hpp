@@ -40,9 +40,12 @@ struct ScheduleRequest {
   /// Streamed ingestion chunk (stream source only).
   std::size_t chunk_jobs = 4096;
   /// Optional completion deadline, in seconds relative to submission;
-  /// 0 = no deadline. An expired request completes with kDeadlineExceeded
-  /// instead of a result: rejected at admission if it expired while queued,
-  /// abandoned between inference steps if it expires mid-dispatch.
+  /// 0 = no deadline. serve::Daemon enforces it: an expired request
+  /// completes with kDeadlineExceeded instead of a result, rejected at
+  /// admission if it expired while queued, abandoned between inference
+  /// steps if it expires mid-dispatch. The in-process
+  /// RLScheduler::schedule() cannot enforce it and rejects a nonzero
+  /// deadline with kInvalidArgument.
   double deadline_seconds = 0.0;
 };
 

@@ -63,9 +63,11 @@ class RLScheduler {
   /// per policy forward) — runs[i] is bitwise identical to a single-sequence
   /// request of sequences[i]. Malformed requests and engine rejections
   /// (e.g. out-of-order streamed submits) come back as a non-OK Status.
-  /// Const but not thread-safe: it runs the trainer's policy, whose
-  /// activation scratch it writes. One RLScheduler serves one caller at a
-  /// time; serve::Daemon is the concurrent serving path.
+  /// Every request runs to completion, so a nonzero deadline_seconds is
+  /// rejected with kInvalidArgument: serve::Daemon is the path that
+  /// enforces deadlines. Const but not thread-safe: it runs the trainer's
+  /// policy, whose activation scratch it writes. One RLScheduler serves
+  /// one caller at a time; serve::Daemon is the concurrent serving path.
   StatusOr<ScheduleResult> schedule(const ScheduleRequest& request) const;
 
   void save(const std::string& path) const;

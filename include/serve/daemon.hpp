@@ -66,7 +66,6 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -195,6 +194,14 @@ class Daemon {
   /// exactly once.
   core::Status try_take(RequestId id, Completion* out);
 
+  /// try_take() for a caller that wants a pending result pushed to it: a
+  /// finished request is taken (OK), a pending one is marked so that its
+  /// completion goes to the completion hook instead of the store
+  /// (kUnavailable; marking twice is harmless), and an unknown or taken id
+  /// answers kNotFound. The choice is made under the daemon lock, so
+  /// exactly one of the caller and the hook receives the completion.
+  core::Status take_or_notify(RequestId id, Completion* out);
+
   /// Block until `id` completes. Requires someone who can complete it: a
   /// running background dispatcher, an active drain()er on another thread,
   /// or an already-available completion — kFailedPrecondition otherwise (a
@@ -232,11 +239,15 @@ class Daemon {
   /// deterministically.
   void shutdown(double drain_deadline_seconds);
 
-  /// Observer fired inside complete_locked for every finished (or
-  /// cancelled) request, with the daemon mutex HELD: the hook must not
-  /// call back into the daemon — push the id somewhere and wake your own
-  /// consumer (serve::Server uses an eventfd). Set before start().
-  using CompletionHook = void (*)(void* ctx, std::uint64_t request_id);
+  /// Receives, moved out of the daemon, the completion of every request
+  /// that take_or_notify() marked. It runs inside complete_locked with the
+  /// daemon mutex HELD: the hook must not call back into the daemon —
+  /// queue the completion and wake your own consumer (serve::Server uses
+  /// an eventfd). Unmarked requests, and marked ones that finish while no
+  /// hook is installed, are stored for try_take()/wait(). Set before
+  /// start().
+  using CompletionHook = void (*)(void* ctx, std::uint64_t request_id,
+                                  Completion&& completion);
   void set_completion_hook(CompletionHook hook, void* ctx);
 
   std::size_t batch() const { return batch_; }
@@ -327,6 +338,18 @@ class Daemon {
   void finish_request(Shard& shard, Slot& slot, core::Status status);
   void release_slot_locked(Slot& slot);  ///< mu_ held
 
+  /// One entry per issued request, from submit() until its completion is
+  /// taken or handed to the hook.
+  struct RequestState {
+    bool done = false;    ///< `completion` holds the result
+    bool notify = false;  ///< marked by take_or_notify()
+    Completion completion;
+  };
+
+  /// The one locked lookup behind try_take/wait/take_or_notify: takes a
+  /// done request, else answers kUnavailable (marking it when `notify`)
+  /// or kNotFound.
+  core::Status take_locked(std::uint64_t id, Completion* out, bool notify);
   void complete_locked(std::uint64_t id,
                        std::chrono::steady_clock::time_point submitted,
                        core::Status status, core::ScheduleResult result);
@@ -337,14 +360,13 @@ class Daemon {
   const std::size_t max_queue_depth_;
   const ShedPolicy shed_policy_;
 
-  mutable std::mutex mu_;  ///< session table, queues, completions, stats
+  mutable std::mutex mu_;  ///< session table, queues, requests, stats
   std::condition_variable done_cv_;  ///< wait() wakeup
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::unique_ptr<sim::SchedulingEnv>> env_pool_;
   std::vector<const rl::Policy*> policies_;
-  std::unordered_map<std::uint64_t, Completion> completions_;
-  std::unordered_set<std::uint64_t> inflight_;
+  std::unordered_map<std::uint64_t, RequestState> requests_;
   std::uint64_t next_request_id_ = 1;
   DaemonStats stats_;
   bool started_ = false;

@@ -15,20 +15,20 @@
 //
 // Requests dispatch straight into the shared serve::Daemon (which runs
 // its own dispatcher shards); replies are written inline by the event
-// thread. The deferred replies (kSchedule, kWait) flow back through the
-// daemon's completion hook: the hook — called under the daemon lock —
-// only enqueues the finished request id and signals an eventfd, and the
-// event thread that wakes on the eventfd routes each id to the connection
-// that asked for it. A route registered after its completion fired is
-// caught by the `unclaimed` set; a completion fired after registration is
-// caught by re-polling try_take() once the route is in place — between
-// the two, exactly one side delivers the reply.
+// thread. A deferred reply (kSchedule, kWait) records a route from the
+// request id to the connection, then asks Daemon::take_or_notify(): a
+// finished request is answered at once, a pending one is marked and its
+// completion later arrives through the daemon's completion hook. The hook
+// — called under the daemon lock — only enqueues the completion and
+// signals an eventfd, and the event thread that wakes on the eventfd
+// writes each one to its route's connection. The daemon decides under its
+// lock which side delivers, so exactly one does.
 //
 // Malformed input never crashes the server: payload decode errors get a
 // kInvalidArgument reply and the connection closes (a corrupt length
 // prefix cannot be resynchronized); a disconnected client's sessions are
 // destroyed (queued requests cancel) and its pending deferred replies are
-// discarded.
+// dropped as they arrive.
 //
 // Results over this socket path are BITWISE IDENTICAL to in-process
 // Daemon calls: the wire format round-trips doubles by bit pattern and
@@ -43,7 +43,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/status.hpp"
@@ -104,7 +104,8 @@ class Server {
     std::uint64_t tag = 0;
   };
 
-  static void completion_hook(void* ctx, std::uint64_t request_id);
+  static void completion_hook(void* ctx, std::uint64_t request_id,
+                              Completion&& completion);
 
   void accept_loop();
   void event_loop();
@@ -112,7 +113,7 @@ class Server {
   /// Returns false when the connection must close (malformed payload).
   bool dispatch(const std::shared_ptr<Conn>& conn, const wire::Header& h,
                 wire::Reader& r);
-  /// The kSchedule/kWait deferral protocol (header comment).
+  /// The kSchedule/kWait deferred reply (header comment).
   void defer_completion(const std::shared_ptr<Conn>& conn, std::uint64_t tag,
                         std::uint64_t id);
   void deliver_completions();
@@ -140,11 +141,10 @@ class Server {
   /// Deferred-reply bookkeeping; never hold while calling the daemon.
   std::mutex route_mu_;
   std::unordered_map<std::uint64_t, Route> routes_;
-  std::unordered_set<std::uint64_t> unclaimed_;  ///< completed, no route yet
-  std::unordered_set<std::uint64_t> orphaned_;   ///< route's conn closed
 
   std::mutex completed_mu_;
-  std::vector<std::uint64_t> completed_;  ///< hook -> eventfd handler
+  /// hook -> eventfd handler
+  std::vector<std::pair<std::uint64_t, Completion>> completed_;
 };
 
 }  // namespace rlsched::serve

@@ -47,6 +47,11 @@ rl::TrainHistory RLScheduler::train(std::size_t epochs,
 StatusOr<ScheduleResult> RLScheduler::schedule(
     const ScheduleRequest& request) const {
   if (Status s = validate(request); !s.ok()) return s;
+  if (request.deadline_seconds > 0.0) {
+    return Status(StatusCode::kInvalidArgument,
+                  "deadline_seconds is enforced only by serve::Daemon; "
+                  "in-process schedule() runs every request to completion");
+  }
   ScheduleResult out;
   try {
     if (request.jobs != nullptr) {

@@ -168,7 +168,7 @@ StatusOr<RequestId> Daemon::submit(SessionId id,
     pr.deadline = after_seconds(pr.submitted, request.deadline_seconds);
   }
   const RequestId rid{pr.id};
-  inflight_.insert(pr.id);
+  requests_.try_emplace(pr.id);
   slot->queue.push_back(std::move(pr));
   ++shard.queued;
   if (max_queue_depth_ > 0 && shed_policy_ == ShedPolicy::kShedOldest) {
@@ -199,32 +199,35 @@ StatusOr<RequestId> Daemon::submit(SessionId id,
   return rid;
 }
 
-Status Daemon::try_take(RequestId id, Completion* out) {
-  std::lock_guard<std::mutex> l(mu_);
-  auto it = completions_.find(id.value);
-  if (it != completions_.end()) {
-    *out = std::move(it->second);
-    completions_.erase(it);
-    return Status::Ok();
+Status Daemon::take_locked(std::uint64_t id, Completion* out, bool notify) {
+  auto it = requests_.find(id);
+  if (it == requests_.end()) {
+    return Status(StatusCode::kNotFound, "unknown request id");
   }
-  if (inflight_.count(id.value) != 0) {
+  if (!it->second.done) {
+    it->second.notify = it->second.notify || notify;
     return Status(StatusCode::kUnavailable, "request pending");
   }
-  return Status(StatusCode::kNotFound, "unknown request id");
+  *out = std::move(it->second.completion);
+  requests_.erase(it);
+  return Status::Ok();
+}
+
+Status Daemon::try_take(RequestId id, Completion* out) {
+  std::lock_guard<std::mutex> l(mu_);
+  return take_locked(id.value, out, false);
+}
+
+Status Daemon::take_or_notify(RequestId id, Completion* out) {
+  std::lock_guard<std::mutex> l(mu_);
+  return take_locked(id.value, out, true);
 }
 
 Status Daemon::wait(RequestId id, Completion* out) {
   std::unique_lock<std::mutex> l(mu_);
   for (;;) {
-    auto it = completions_.find(id.value);
-    if (it != completions_.end()) {
-      *out = std::move(it->second);
-      completions_.erase(it);
-      return Status::Ok();
-    }
-    if (inflight_.count(id.value) == 0) {
-      return Status(StatusCode::kNotFound, "unknown request id");
-    }
+    Status s = take_locked(id.value, out, false);
+    if (s.code() != StatusCode::kUnavailable) return s;
     if (!started_ && active_drainers_ == 0) {
       // Nothing will ever complete this request — refuse to hang.
       return Status(StatusCode::kFailedPrecondition,
@@ -665,14 +668,8 @@ void Daemon::release_slot_locked(Slot& slot) {
 void Daemon::complete_locked(std::uint64_t id,
                              std::chrono::steady_clock::time_point submitted,
                              Status status, ScheduleResult result) {
-  Completion c;
-  c.latency_seconds = seconds_since(submitted);
   const StatusCode code = status.code();
   const bool ok = status.ok();
-  c.status = std::move(status);
-  c.result = std::move(result);
-  inflight_.erase(id);
-  completions_.emplace(id, std::move(c));
   if (code == StatusCode::kCancelled) {
     ++stats_.requests_cancelled;
   } else if (code == StatusCode::kResourceExhausted) {
@@ -685,9 +682,20 @@ void Daemon::complete_locked(std::uint64_t id,
     if (!ok) ++stats_.requests_failed;
     if (code == StatusCode::kDeadlineExceeded) ++stats_.requests_expired;
   }
+  Completion c{std::move(status), std::move(result), seconds_since(submitted)};
+  // Every issued id keeps its entry until its completion is taken, and a
+  // take needs `done`, so the entry is still here.
+  auto it = requests_.find(id);
+  if (it->second.notify && completion_hook_ != nullptr) {
+    requests_.erase(it);
+    // With mu_ held: the hook must only queue-and-wake (see header).
+    completion_hook_(completion_hook_ctx_, id, std::move(c));
+  } else {
+    it->second.done = true;
+    it->second.completion = std::move(c);
+  }
+  // Wakes wait()ers on a pushed id too: they answer kNotFound.
   done_cv_.notify_all();
-  // Last, with mu_ held: the hook must only queue-and-wake (see header).
-  if (completion_hook_ != nullptr) completion_hook_(completion_hook_ctx_, id);
 }
 
 Daemon::Slot* Daemon::resolve_locked(SessionId id) {

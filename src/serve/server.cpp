@@ -97,9 +97,10 @@ Server::~Server() { stop(); }
 void Server::stop() {
   if (stopped_.exchange(true)) return;
   stop_.store(true);
-  // No new hook pushes after this; ids already pushed are either drained
-  // by an event thread before it exits or simply discarded (the daemon's
-  // completion store still holds the results).
+  // No new hook pushes after this: requests still marked for the hook are
+  // stored by the daemon when they finish. Completions already pushed are
+  // either delivered by an event thread before it exits or dropped with
+  // the connections closed below.
   daemon_.set_completion_hook(nullptr, nullptr);
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);  // wakes accept4
   if (accept_thread_.joinable()) accept_thread_.join();
@@ -118,12 +119,13 @@ void Server::stop() {
   listen_fd_ = epoll_fd_ = event_fd_ = -1;
 }
 
-void Server::completion_hook(void* ctx, std::uint64_t request_id) {
+void Server::completion_hook(void* ctx, std::uint64_t request_id,
+                             Completion&& completion) {
   // Runs under the daemon lock: enqueue and signal, nothing else.
   auto* self = static_cast<Server*>(ctx);
   {
     std::lock_guard<std::mutex> l(self->completed_mu_);
-    self->completed_.push_back(request_id);
+    self->completed_.emplace_back(request_id, std::move(completion));
   }
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n =
@@ -318,10 +320,6 @@ bool Server::dispatch(const std::shared_ptr<Conn>& conn, const wire::Header& h,
         defer_completion(conn, h.tag, id);
         return true;
       }
-      {
-        std::lock_guard<std::mutex> l(route_mu_);
-        unclaimed_.erase(id);  // this poll is the claim
-      }
       Completion c;
       Status s = daemon_.try_take(RequestId{id}, &c);
       wire::encode_completion_reply(out, h.tag, s, s.ok() ? &c : nullptr);
@@ -342,80 +340,50 @@ bool Server::dispatch(const std::shared_ptr<Conn>& conn, const wire::Header& h,
 
 void Server::defer_completion(const std::shared_ptr<Conn>& conn,
                               std::uint64_t tag, std::uint64_t id) {
-  bool registered = false;
+  // The route goes in first: the hook may fire as soon as take_or_notify
+  // returns kUnavailable.
   {
     std::lock_guard<std::mutex> l(route_mu_);
-    // An unclaimed entry means the completion fired before any route
-    // existed; this call is the claimant. Otherwise register, so a
-    // completion firing from here on is the delivery worker's to route.
-    if (unclaimed_.erase(id) == 0) {
-      routes_[id] = Route{conn, tag};
-      registered = true;
-    }
+    routes_[id] = Route{conn, tag};
   }
-  // Poll once either way: a completion that fired between submit/wait
-  // and registration is claimed HERE; one that fires later is claimed by
-  // the delivery worker. try_take delivers exactly once, so both sides
-  // can race it safely.
   Completion c;
-  const Status tt = daemon_.try_take(RequestId{id}, &c);
-  std::vector<std::uint8_t> out;
-  if (tt.ok()) {
-    if (registered) {
-      std::lock_guard<std::mutex> l(route_mu_);
-      routes_.erase(id);  // worker must not look for it anymore
-    }
-    wire::encode_completion_reply(out, tag, Status::Ok(), &c);
-    write_frame(conn, out);
-    return;
-  }
-  if (tt.code() == StatusCode::kUnavailable) return;  // worker delivers
-  // kNotFound. Unregistered claimant: nobody else will answer — reply.
-  // Registered: the worker may have beaten our poll (route gone ⇒ the
-  // worker owns the reply); route still present ⇒ genuinely unknown id.
-  if (registered) {
+  const Status s = daemon_.take_or_notify(RequestId{id}, &c);
+  if (s.code() == StatusCode::kUnavailable) return;  // the hook delivers
+  {
     std::lock_guard<std::mutex> l(route_mu_);
-    if (routes_.erase(id) == 0) return;
+    // A kNotFound whose route is already gone lost to a concurrent
+    // kWait's mark: the delivery pass answers this tag with the result.
+    if (routes_.erase(id) == 0 && !s.ok()) return;
   }
-  wire::encode_completion_reply(out, tag, tt, nullptr);
+  std::vector<std::uint8_t> out;
+  wire::encode_completion_reply(out, tag, s, s.ok() ? &c : nullptr);
   write_frame(conn, out);
 }
 
 void Server::deliver_completions() {
   // Drain the counter BEFORE swapping the list: a hook push that lands
-  // after the swap wrote the eventfd after its push, so either its id was
-  // in our swap or a fresh event is pending — no lost wakeups.
+  // after the swap wrote the eventfd after its push, so either its
+  // completion was in our swap or a fresh event is pending — no lost
+  // wakeups.
   std::uint64_t counter;
   while (::read(event_fd_, &counter, sizeof(counter)) ==
          static_cast<ssize_t>(sizeof(counter))) {
   }
-  std::vector<std::uint64_t> ids;
+  std::vector<std::pair<std::uint64_t, Completion>> done;
   {
     std::lock_guard<std::mutex> l(completed_mu_);
-    ids.swap(completed_);
+    done.swap(completed_);
   }
-  for (const std::uint64_t id : ids) {
+  for (auto& [id, c] : done) {
     Route route;
-    bool routed = false;
-    bool orphan = false;
     {
       std::lock_guard<std::mutex> l(route_mu_);
       auto it = routes_.find(id);
-      if (it != routes_.end()) {
-        route = it->second;
-        routes_.erase(it);
-        routed = true;
-      } else if (orphaned_.erase(id) > 0) {
-        orphan = true;  // its conn closed: take the completion, drop it
-      } else {
-        unclaimed_.insert(id);  // a wait/schedule may register later
-        continue;
-      }
+      if (it == routes_.end()) continue;
+      route = std::move(it->second);
+      routes_.erase(it);
     }
-    (void)routed;
-    Completion c;
-    if (!daemon_.try_take(RequestId{id}, &c).ok()) continue;  // raced, theirs
-    if (orphan || route.conn->closed.load()) continue;
+    // write_frame skips a closed connection: its reply is dropped here.
     std::vector<std::uint8_t> out;
     wire::encode_completion_reply(out, route.tag, Status::Ok(), &c);
     write_frame(route.conn, out);
@@ -467,19 +435,6 @@ void Server::close_conn(const std::shared_ptr<Conn>& conn) {
   {
     std::lock_guard<std::mutex> l(conns_mu_);
     conns_.erase(conn->fd);
-  }
-  // Deferred replies headed here will never be readable: orphan them so
-  // the delivery worker takes-and-drops instead of leaking route entries.
-  {
-    std::lock_guard<std::mutex> l(route_mu_);
-    for (auto it = routes_.begin(); it != routes_.end();) {
-      if (it->second.conn == conn) {
-        orphaned_.insert(it->first);
-        it = routes_.erase(it);
-      } else {
-        ++it;
-      }
-    }
   }
   std::vector<SessionId> owned;
   {

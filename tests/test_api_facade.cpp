@@ -151,6 +151,15 @@ int main() {
     CHECK(model.schedule(req).status().code() ==
           StatusCode::kInvalidArgument);
   }
+  // A deadline: only serve::Daemon enforces one, so in-process it is
+  // refused rather than silently ignored.
+  {
+    ScheduleRequest req;
+    req.jobs = &seq;
+    req.deadline_seconds = 5.0;
+    CHECK(model.schedule(req).status().code() ==
+          StatusCode::kInvalidArgument);
+  }
   // Streamed request with a zero chunk.
   {
     auto stream_trace = trace;

@@ -12,10 +12,13 @@
 //      completion.
 //   4. Protocol errors on the shared Status enum: stale handles, unknown
 //      request ids, cancellation by destroy, table exhaustion.
+//   5. The take_or_notify handoff: a finished request goes to the caller,
+//      a pending one to the completion hook, each exactly once.
 #include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rl/batch_eval.hpp"
@@ -541,14 +544,14 @@ int main() {
   }
   {
     // Destruction itself: the completion hook observes one terminal
-    // completion per submitted request even when the daemon dies with work
+    // completion per marked request even when the daemon dies with work
     // still queued (the destructor runs shutdown, not a silent drop).
     std::atomic<std::uint64_t> delivered{0};
     {
       Daemon daemon(daemon_config(4));  // destructor cancels, immediately
       const std::uint32_t pid = daemon.register_policy(*policy);
       daemon.set_completion_hook(
-          [](void* ctx, std::uint64_t) {
+          [](void* ctx, std::uint64_t, Completion&&) {
             static_cast<std::atomic<std::uint64_t>*>(ctx)->fetch_add(1);
           },
           &delivered);
@@ -559,9 +562,74 @@ int main() {
       ScheduleRequest req;
       req.jobs = &seqs[0];
       req.backfill = true;
-      for (int i = 0; i < 3; ++i) CHECK(daemon.submit(sid, req).ok());
+      for (int i = 0; i < 3; ++i) {
+        const RequestId rid = daemon.submit(sid, req).value();
+        Completion c;
+        CHECK(daemon.take_or_notify(rid, &c).code() ==
+              StatusCode::kUnavailable);
+      }
     }
     CHECK(delivered.load() == 3);
+  }
+
+  // --- 8. take_or_notify: the caller or the hook, never both -------------
+  {
+    using Pushed = std::vector<std::pair<std::uint64_t, Completion>>;
+    Pushed pushed;
+    Daemon daemon(daemon_config(4));
+    const std::uint32_t pid = daemon.register_policy(*policy);
+    daemon.set_completion_hook(
+        [](void* ctx, std::uint64_t id, Completion&& c) {
+          static_cast<Pushed*>(ctx)->emplace_back(id, std::move(c));
+        },
+        &pushed);
+    SessionConfig sc;
+    sc.processors = procs;
+    sc.policy = pid;
+    auto sid = daemon.create_session(sc).value();
+    ScheduleRequest req;
+    req.backfill = true;
+    Completion c;
+
+    // Finished before the ask: the caller takes it; the hook never fires.
+    req.jobs = &seqs[3];
+    const RequestId finished = daemon.submit(sid, req).value();
+    CHECK(daemon.drain().ok());
+    CHECK(daemon.take_or_notify(finished, &c).ok());
+    CHECK(c.status.ok());
+    CHECK(sim::bitwise_equal(c.result.run(), expect[3]));
+    CHECK(pushed.empty());
+    CHECK(daemon.take_or_notify(finished, &c).code() == StatusCode::kNotFound);
+
+    // Pending at the ask: marked (twice is harmless), then pushed exactly
+    // once when it finishes, and never stored.
+    req.jobs = &seqs[4];
+    const RequestId pending = daemon.submit(sid, req).value();
+    CHECK(daemon.take_or_notify(pending, &c).code() ==
+          StatusCode::kUnavailable);
+    CHECK(daemon.take_or_notify(pending, &c).code() ==
+          StatusCode::kUnavailable);
+    CHECK(daemon.drain().ok());
+    CHECK(pushed.size() == 1);
+    CHECK(pushed[0].first == pending.value);
+    CHECK(pushed[0].second.status.ok());
+    CHECK(sim::bitwise_equal(pushed[0].second.result.run(), expect[4]));
+    CHECK(daemon.try_take(pending, &c).code() == StatusCode::kNotFound);
+
+    CHECK(daemon.take_or_notify(RequestId{999999}, &c).code() ==
+          StatusCode::kNotFound);
+
+    // Marked, but the hook is gone by the time it finishes: the daemon
+    // stores it and try_take finds it.
+    req.jobs = &seqs[5];
+    const RequestId unhooked = daemon.submit(sid, req).value();
+    CHECK(daemon.take_or_notify(unhooked, &c).code() ==
+          StatusCode::kUnavailable);
+    daemon.set_completion_hook(nullptr, nullptr);
+    CHECK(daemon.drain().ok());
+    CHECK(pushed.size() == 1);
+    CHECK(daemon.try_take(unhooked, &c).ok());
+    CHECK(sim::bitwise_equal(c.result.run(), expect[5]));
   }
 
   std::puts("serve daemon: OK");

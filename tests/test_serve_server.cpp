@@ -8,7 +8,8 @@
 //      garbage, hostile counts, reply types sent to the server, mid-frame
 //      disconnects: each earns a kInvalidArgument reply (where a reply is
 //      possible) and a close, and the server keeps serving everyone else.
-//   3. Lifecycle — a dropped connection's sessions are destroyed; errors
+//   3. Lifecycle — a dropped connection's sessions are destroyed and its
+//      deferred replies leave nothing stored in the daemon; errors
 //      (unknown ids, stale handles, invalid configs) cross the wire with
 //      their core::Status code and message intact.
 #include <chrono>
@@ -359,6 +360,60 @@ int main() {
     b.close();
   }
   CHECK(wait_for_live_sessions(daemon, 0));
+
+  // --- 3c. a closed connection leaves nothing stored ---------------------
+  {
+    // A fresh daemon, so the ids of this client's requests run 1..N.
+    Daemon fresh(daemon_config(8, 2));
+    const std::uint32_t fpid = fresh.register_policy(*policy);
+    Server fserver(fresh, ServerConfig{});
+    CHECK(fserver.status().ok());
+    util::Rng long_rng(11);
+    std::vector<std::vector<trace::Job>> long_seqs;
+    for (int i = 0; i < 4; ++i) {
+      long_seqs.push_back(trace.sample_sequence(long_rng, 2048));
+    }
+    Client c;
+    CHECK(c.connect("127.0.0.1", fserver.port()).ok());
+    SessionConfig sc;
+    sc.processors = procs;
+    sc.policy = fpid;
+    std::vector<SessionId> sids;
+    for (int i = 0; i < 8; ++i) sids.push_back(c.create_session(sc).value());
+    std::uint64_t issued = 0;
+    for (int round = 0; round < 20; ++round) {
+      for (const SessionId sid : sids) {
+        ScheduleRequest req;
+        req.jobs = &long_seqs[issued % long_seqs.size()];
+        req.backfill = true;
+        CHECK(c.send_schedule(sid, req, issued++).ok());
+      }
+    }
+    // Close only once every frame is submitted, so the close cancels
+    // requests rather than losing frames.
+    for (int i = 0; i < 2000 && fresh.stats().requests_submitted < issued;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    CHECK(fresh.stats().requests_submitted == issued);
+    c.close();
+    CHECK(wait_for_live_sessions(fresh, 0));
+    bool balanced = false;
+    for (int i = 0; i < 2000 && !balanced; ++i) {
+      const auto st = fresh.stats();
+      balanced = st.requests_submitted == st.requests_completed +
+                                              st.requests_cancelled +
+                                              st.requests_shed;
+      if (!balanced) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    CHECK(balanced);
+    CHECK(fresh.stats().requests_cancelled > 0);  // the close beat most
+    for (std::uint64_t id = 1; id <= issued; ++id) {
+      Completion comp;
+      CHECK(fresh.try_take(RequestId{id}, &comp).code() ==
+            StatusCode::kNotFound);
+    }
+  }
 
   // --- 4. clean shutdown: the daemon outlives its server -----------------
   server.stop();
