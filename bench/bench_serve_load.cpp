@@ -17,8 +17,8 @@
 //   sock_ol_s100000  the same arrivals through the socket
 //   ov_s<N>          Poisson arrivals at 1.5x capacity into the bounded
 //                    queue: must shed, with exact accounting
-// Capacity is the request rate the first s<N> row measured through the
-// same dispatcher count as every row.
+// Capacity is the request rate of the fastest closed in-process s<N> row,
+// measured through the same dispatcher count as every row.
 //
 // Per row:
 //   dps                  decisions/sec across all sessions while the row
@@ -437,11 +437,17 @@ int main(int argc, char** argv) {
   if (opt.open_loop) {
     // 0.7x capacity keeps an open queue loaded but stable (above 1.0x it
     // grows without bound and p99 measures the runway, not the daemon);
-    // 1.5x must overload the bounded queue. A shared pool of sequences
-    // keeps the 100k-session table affordable: these rows measure
-    // session-table and queueing behaviour, not sampling memory.
-    const double capacity =
-        results.front().dps / static_cast<double>(opt.jobs);
+    // 1.5x must overload the bounded queue. Capacity is the fastest closed
+    // in-process row: a shared host's neighbours slow a row down but never
+    // speed it up, and the cold first row alone swung 2.5x between runs.
+    // A shared pool of sequences keeps the 100k-session table affordable:
+    // these rows measure session-table and queueing behaviour, not
+    // sampling memory.
+    double best_dps = 0.0;
+    for (const LoadResult& r : results) {
+      if (!r.row.socket) best_dps = std::max(best_dps, r.dps);
+    }
+    const double capacity = best_dps / static_cast<double>(opt.jobs);
     const Sequences pool = sequences(256);
     const std::string ol = "ol_s" + std::to_string(kOpenLoopSessions);
     measure({.name = ol, .sessions = kOpenLoopSessions,

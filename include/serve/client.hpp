@@ -1,15 +1,17 @@
 #pragma once
-// serve::Client — the in-process Daemon surface re-exposed over a
-// serve::Server socket: the same create/destroy/submit/try_take/wait/
-// schedule verbs with the same core::Status vocabulary, so swapping the
-// transport swaps nothing else (and the results are bitwise identical —
-// the wire round-trips every double by bit pattern).
+// serve::Client — the Daemon's session and schedule verbs over a
+// serve::Server socket: create_session, destroy_session and schedule with
+// the same core::Status vocabulary as the in-process Daemon, so swapping
+// the transport swaps nothing else (and the results are bitwise identical
+// — the wire round-trips every double by bit pattern). schedule() is one
+// kSchedule frame answered by one pushed kCompletionReply;
+// send_schedule()/recv_completion() split that round trip for pipelining.
 //
 // Threading: the blocking verbs assume ONE outstanding operation at a
 // time (each reads exactly its own reply frame). The pipelined pair
-// send_schedule()/recv_completion() supports the open-loop bench split:
-// one submitter thread sending (sends are serialized internally), one
-// collector thread receiving — never more than one reader.
+// supports the open-loop bench split: one submitter thread sending (sends
+// are serialized internally), one collector thread receiving — never more
+// than one reader.
 //
 // RESILIENCE (opt-in via ClientConfig): with retry.max_attempts > 0 the
 // blocking verbs survive transport failures — jittered exponential-backoff
@@ -18,13 +20,13 @@
 // list, and SESSION VIRTUALIZATION: the ids this client hands out are
 // local, mapped to whatever the current server issued, and every tracked
 // session is re-created on the new server after a failover, so a session
-// handle stays valid across server deaths. Retried verbs are the
-// idempotent ones (see docs/wire-protocol.md): schedule/submit re-execute
-// deterministically, create is made safe by virtualization, destroy is
-// idempotent up to kNotFound. RequestIds are NOT virtualized: a pre-
-// failover id answers kNotFound on the new server (prefer schedule()).
-// When retries exhaust, the verb returns kAborted and the connection is
-// closed. The default config (max_attempts == 0) changes nothing.
+// handle stays valid across server deaths. Every verb is safe to retry
+// (see docs/wire-protocol.md): schedule re-executes deterministically,
+// create is made safe by virtualization, destroy is idempotent up to
+// kNotFound. send_schedule() maps the handle like the blocking verbs but
+// is never retried: a transport error returns as is. When retries
+// exhaust, the verb returns kAborted and the connection is closed. The
+// default config (max_attempts == 0) changes nothing.
 
 #include <cstdint>
 #include <mutex>
@@ -91,21 +93,21 @@ class Client {
   core::Status destroy_session(SessionId id);
   /// Streams are rejected locally (kInvalidArgument): a trace::JobSource
   /// cannot cross a process boundary.
-  core::StatusOr<RequestId> submit(SessionId id,
-                                   const core::ScheduleRequest& request);
-  core::Status try_take(RequestId id, Completion* out);
-  core::Status wait(RequestId id, Completion* out);
   core::Status schedule(SessionId id, const core::ScheduleRequest& request,
                         core::ScheduleResult* out);
 
   // --- pipelined path (open-loop load generation) ---
   /// Fire a kSchedule frame tagged `tag` without waiting for the reply.
+  /// A resilient client sends the server's id for its handle (kNotFound,
+  /// nothing sent, for a handle it never issued).
   core::Status send_schedule(SessionId id,
                              const core::ScheduleRequest& request,
                              std::uint64_t tag);
   /// Block for the next kCompletionReply frame; `*tag` identifies which
   /// send_schedule it answers. A non-OK return is a transport/protocol
-  /// failure; per-request failures come back in completion->status.
+  /// failure, or the daemon refusing that request (e.g. kNotFound for a
+  /// stale session; `*tag` is set). The outcome of an admitted request
+  /// comes back in completion->status.
   core::Status recv_completion(std::uint64_t* tag, Completion* out);
 
   // --- raw escape hatch (malformed-frame tests) ---
@@ -135,12 +137,11 @@ class Client {
   template <typename Op>
   core::Status with_retry(const Op& op);
 
-  // Single-attempt verb bodies (remote ids, no retry).
+  // Single-attempt verb bodies (no retry). destroy_session_once takes the
+  // server's id; schedule_once takes the caller's, which send_schedule
+  // maps.
   core::StatusOr<SessionId> create_session_once(const SessionConfig& cfg);
   core::Status destroy_session_once(SessionId id);
-  core::StatusOr<RequestId> submit_once(SessionId id,
-                                        const core::ScheduleRequest& request);
-  core::Status take_once(wire::MsgType type, RequestId id, Completion* out);
   core::Status schedule_once(SessionId id,
                              const core::ScheduleRequest& request,
                              core::ScheduleResult* out);

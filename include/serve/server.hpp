@@ -15,14 +15,15 @@
 //
 // Requests dispatch straight into the shared serve::Daemon (which runs
 // its own dispatcher shards); replies are written inline by the event
-// thread. A deferred reply (kSchedule, kWait) records a route from the
-// request id to the connection, then asks Daemon::take_or_notify(): a
-// finished request is answered at once, a pending one is marked and its
-// completion later arrives through the daemon's completion hook. The hook
-// — called under the daemon lock — only enqueues the completion and
-// signals an eventfd, and the event thread that wakes on the eventfd
-// writes each one to its route's connection. The daemon decides under its
-// lock which side delivers, so exactly one does.
+// thread, except kSchedule's. Its reply is deferred: the server submits
+// the request, records a route from the request id to the connection,
+// then asks Daemon::take_or_notify(): a finished request is answered at
+// once, a pending one is marked and its completion later arrives through
+// the daemon's completion hook. The hook — called under the daemon lock —
+// only enqueues the completion and signals an eventfd, and the event
+// thread that wakes on the eventfd writes each one to its route's
+// connection. The daemon decides under its lock which side delivers, so
+// exactly one does.
 //
 // Malformed input never crashes the server: payload decode errors get a
 // kInvalidArgument reply and the connection closes (a corrupt length
@@ -113,7 +114,7 @@ class Server {
   /// Returns false when the connection must close (malformed payload).
   bool dispatch(const std::shared_ptr<Conn>& conn, const wire::Header& h,
                 wire::Reader& r);
-  /// The kSchedule/kWait deferred reply (header comment).
+  /// The deferred reply of a just-submitted kSchedule (header comment).
   void defer_completion(const std::shared_ptr<Conn>& conn, std::uint64_t tag,
                         std::uint64_t id);
   void deliver_completions();

@@ -30,12 +30,10 @@
 // Payload layouts (requests):
 //   kCreateSession   i32 processors, u32 policy
 //   kDestroySession  u32 index, u32 gen
-//   kSubmit          u32 index, u32 gen, request body (below)
-//   kSchedule        same as kSubmit; the reply is deferred until the
-//                    request completes (kCompletionReply), so one
-//                    round-trip = one scheduled request
-//   kTryTake         u64 request_id
-//   kWait            u64 request_id (reply deferred until completion)
+//   kSchedule        u32 index, u32 gen, request body (below); the reply
+//                    is deferred until the request completes
+//                    (kCompletionReply), so one round-trip = one
+//                    scheduled request
 //
 // Request body:
 //   u8  kind         0 = single sequence (ScheduleRequest.jobs),
@@ -52,8 +50,8 @@
 // i32 code, u32 message_len, message bytes):
 //   kStatusReply      Status
 //   kSessionReply     Status, then on OK: u32 index, u32 gen
-//   kSubmitReply      Status, then on OK: u64 request_id
-//   kCompletionReply  Status (the take/wait op), then on OK:
+//   kCompletionReply  Status (the schedule op: non-OK when the daemon
+//                     refused the request), then on OK:
 //                     Status (the completion itself), f64 latency_seconds,
 //                     u32 nruns, nruns * RunResult
 //   RunResult = u64 jobs, then f64 avg_bounded_slowdown, avg_slowdown,
@@ -76,17 +74,15 @@ inline constexpr std::size_t kHeaderBytes = 16;
 /// allocation: a corrupt or hostile length prefix must not OOM the server.
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
 
+/// Values 3, 5, 6 and 66 are retired: decode_header rejects them like any
+/// unknown type, and they are never reused (docs/wire-protocol.md).
 enum class MsgType : std::uint8_t {
   kCreateSession = 1,
   kDestroySession = 2,
-  kSubmit = 3,
   kSchedule = 4,
-  kTryTake = 5,
-  kWait = 6,
 
   kStatusReply = 64,
   kSessionReply = 65,
-  kSubmitReply = 66,
   kCompletionReply = 67,
 };
 
@@ -178,12 +174,11 @@ void encode_destroy_session(std::vector<std::uint8_t>& out, std::uint64_t tag,
                             SessionId id);
 core::Status decode_destroy_session(Reader& r, SessionId* id);
 
-/// Encode a submit/schedule request. Streams are not wire-encodable:
-/// returns kInvalidArgument without touching `out`. `type` must be kSubmit
-/// or kSchedule.
-core::Status encode_submit(std::vector<std::uint8_t>& out, MsgType type,
-                           std::uint64_t tag, SessionId id,
-                           const core::ScheduleRequest& request);
+/// Encode a kSchedule request. Streams are not wire-encodable: returns
+/// kInvalidArgument without touching `out`.
+core::Status encode_schedule(std::vector<std::uint8_t>& out, std::uint64_t tag,
+                             SessionId id,
+                             const core::ScheduleRequest& request);
 
 /// Owned storage behind a decoded ScheduleRequest (the request struct
 /// borrows its job sequences by pointer).
@@ -211,11 +206,7 @@ struct DecodedRequest {
   }
 };
 
-core::Status decode_submit(Reader& r, SessionId* id, DecodedRequest* out);
-
-void encode_take(std::vector<std::uint8_t>& out, MsgType type,
-                 std::uint64_t tag, std::uint64_t request_id);
-core::Status decode_take(Reader& r, std::uint64_t* request_id);
+core::Status decode_schedule(Reader& r, SessionId* id, DecodedRequest* out);
 
 // --- reply payload encode/decode ---
 
@@ -227,11 +218,6 @@ void encode_session_reply(std::vector<std::uint8_t>& out, std::uint64_t tag,
                           const core::Status& status, SessionId id);
 core::Status decode_session_reply(Reader& r, core::Status* status,
                                   SessionId* id);
-
-void encode_submit_reply(std::vector<std::uint8_t>& out, std::uint64_t tag,
-                         const core::Status& status, std::uint64_t request_id);
-core::Status decode_submit_reply(Reader& r, core::Status* status,
-                                 std::uint64_t* request_id);
 
 /// `completion` may be null iff !status.ok() (nothing to deliver).
 void encode_completion_reply(std::vector<std::uint8_t>& out, std::uint64_t tag,

@@ -17,11 +17,6 @@ long env_long(const char* name, long fallback,
               long min_value = std::numeric_limits<long>::min(),
               long max_value = std::numeric_limits<long>::max());
 
-/// Parse `name` as a double with the same validation/clamping contract.
-double env_double(const char* name, double fallback,
-                  double min_value = -std::numeric_limits<double>::infinity(),
-                  double max_value = std::numeric_limits<double>::infinity());
-
 /// String variable; `fallback` when unset or empty.
 std::string env_string(const char* name, const std::string& fallback);
 

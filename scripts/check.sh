@@ -20,9 +20,11 @@
 #                         skips ctest (the matrix jobs own correctness)
 #   --docs                run the documentation gates only (no compiler):
 #                         scripts/check_docs.py checks every relative link
-#                         in README.md/DESIGN.md/docs/ resolves and that
+#                         in README.md/DESIGN.md/docs/ resolves, that
 #                         the bench/test inventory named in the docs
-#                         matches the tree in both directions
+#                         matches the tree in both directions, and that
+#                         docs/wire-protocol.md's message-type table
+#                         matches the MsgType enum
 #   build-dir             defaults to ./build (or ./build-<sanitizers>,
 #                         ./build-coverage)
 #
@@ -84,7 +86,7 @@ if [ -n "$DOCS" ]; then
     printf '%spython3 is required for the docs gate%s\n' "$RED" "$RESET" >&2
     exit 1
   }
-  step "docs gate (relative links resolve, bench/test inventory in sync)"
+  step "docs gate (relative links resolve, bench/test inventory and MsgType table in sync)"
   python3 scripts/check_docs.py
   printf '%s== docs checks passed ==%s\n' "$GREEN" "$RESET"
   exit 0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation drift gate for the CI `docs` job (scripts/check.sh --docs).
 
-Two checks over README.md, DESIGN.md, and docs/*.md:
+Three checks over README.md, DESIGN.md, and docs/*.md:
 
 1. LINKS — every relative markdown link target must exist on disk,
    resolved against the file containing the link (http(s)/mailto and
@@ -18,7 +18,15 @@ Two checks over README.md, DESIGN.md, and docs/*.md:
      undocumented), and every test in tests/test_*.cpp or
      tests/test_*.py must be named somewhere in the scanned docs.
 
-Exit status: 0 = docs in sync, 1 = stale link or inventory drift.
+3. MESSAGE TYPES — the message-type table in docs/wire-protocol.md is the
+   normative list of `MsgType` values, so it must match the enum in
+   include/serve/wire.hpp in BOTH directions: every enumerator appears
+   as a request or reply row with the same value, every such row names
+   an enumerator, and no row marked retired names a value or a name the
+   enum still uses (retired values are never reused).
+
+Exit status: 0 = docs in sync, 1 = stale link, inventory or message-type
+drift.
 """
 
 import pathlib
@@ -32,6 +40,10 @@ DOC_FILES = [ROOT / "README.md", ROOT / "DESIGN.md"] + sorted(
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 TOKEN_RE = re.compile(r"\b(?:bench|test)_[A-Za-z0-9_]+\b")
+MSGTYPE_ENUM_RE = re.compile(r"enum class MsgType\b[^{]*\{(.*?)\};", re.S)
+ENUMERATOR_RE = re.compile(r"\b(k[A-Za-z0-9]+)\s*=\s*(\d+)")
+MSGTYPE_ROW_RE = re.compile(
+    r"^\|\s*(\d+)\s*\|\s*`(k[A-Za-z0-9]+)`\s*\|\s*(request|reply|retired)\s*\|")
 
 failures = 0
 
@@ -56,6 +68,56 @@ def check_links(doc):
 def source_names(directory, prefix):
     return {p.stem for p in (ROOT / directory).glob(f"{prefix}_*")
             if p.suffix in (".cpp", ".hpp", ".py")}
+
+
+def check_msg_types():
+    header = ROOT / "include" / "serve" / "wire.hpp"
+    spec = ROOT / "docs" / "wire-protocol.md"
+    match = MSGTYPE_ENUM_RE.search(header.read_text(encoding="utf-8"))
+    if match is None:
+        fail(f"{header.relative_to(ROOT)}: no `enum class MsgType` found")
+        return
+    enum = {name: int(value)
+            for name, value in ENUMERATOR_RE.findall(match.group(1))}
+
+    text = spec.read_text(encoding="utf-8")
+    section = text.split("\n## Message types\n", 1)
+    if len(section) != 2:
+        fail(f"{spec.relative_to(ROOT)}: no '## Message types' section")
+        return
+    table = section[1].split("\n## ", 1)[0]
+    live = {}
+    retired = {}
+    for line in table.splitlines():
+        if not re.match(r"^\|\s*\d", line):
+            continue  # prose, the header row or the separator
+        row = MSGTYPE_ROW_RE.match(line)
+        if row is None:
+            fail(f"{spec.relative_to(ROOT)}: unparseable message-type row "
+                 f"'{line}'")
+            continue
+        value, name, direction = int(row.group(1)), row.group(2), row.group(3)
+        (retired if direction == "retired" else live)[name] = value
+
+    for name, value in sorted(enum.items(), key=lambda kv: kv[1]):
+        if name not in live:
+            fail(f"MsgType::{name} = {value} is not in the message-type "
+                 f"table of {spec.relative_to(ROOT)}")
+        elif live[name] != value:
+            fail(f"MsgType::{name} is {value} in wire.hpp but "
+                 f"{live[name]} in {spec.relative_to(ROOT)}")
+    for name, value in sorted(live.items(), key=lambda kv: kv[1]):
+        if name not in enum:
+            fail(f"{spec.relative_to(ROOT)} lists `{name}` = {value}, which "
+                 f"MsgType does not define")
+    enum_values = {value: name for name, value in enum.items()}
+    for name, value in sorted(retired.items(), key=lambda kv: kv[1]):
+        if value in enum_values:
+            fail(f"retired message type {value} (`{name}`) is reused by "
+                 f"MsgType::{enum_values[value]}")
+        elif name in enum:
+            fail(f"retired message type `{name}` is still a MsgType")
+    return len(enum)
 
 
 def main():
@@ -96,11 +158,14 @@ def main():
             fail(f"tests/{path.name} is not named in any scanned doc "
                  f"(README.md, DESIGN.md, docs/*.md)")
 
+    msg_types = check_msg_types()
+
     if failures:
         print(f"docs gate: {failures} failure(s)")
         return 1
     print(f"docs gate: {len(DOC_FILES)} files, {len(benches)} bench sources, "
-          f"{len(tests)} tests — links resolve, inventory in sync")
+          f"{len(tests)} tests, {msg_types} message types — links resolve, "
+          f"inventory and wire spec in sync")
     return 0
 
 

@@ -39,9 +39,9 @@ Status protocol(const char* what) {
 
 /// A failure the retry layer may act on: the connection died (or timed
 /// out) mid-verb. Both producers live in this file — lost() and the
-/// connect path — and both speak kUnavailable; payload-level kUnavailable
-/// (e.g. try_take "request pending") is decoded from a healthy reply and
-/// never carries the transport prefix.
+/// connect path — and both speak kUnavailable; a kUnavailable the server
+/// sent is decoded from a healthy reply and never carries the transport
+/// prefix.
 bool transport_error(const Status& s) {
   return s.code() == StatusCode::kUnavailable &&
          s.message().compare(0, sizeof(kLostPrefix) - 1, kLostPrefix) == 0;
@@ -347,43 +347,12 @@ Status Client::destroy_session(SessionId id) {
   return s;
 }
 
-StatusOr<RequestId> Client::submit(SessionId id,
-                                   const ScheduleRequest& request) {
-  if (!resilient()) return submit_once(id, request);
-  RequestId rid;
-  Status s = with_retry([&] {
-    SessionId remote;
-    if (Status t = translate(id, &remote); !t.ok()) return t;
-    StatusOr<RequestId> r = submit_once(remote, request);
-    if (!r.ok()) return r.status();
-    rid = r.value();
-    return Status::Ok();
-  });
-  if (!s.ok()) return s;
-  return rid;
-}
-
-Status Client::try_take(RequestId id, Completion* out) {
-  if (!resilient()) return take_once(wire::MsgType::kTryTake, id, out);
-  return with_retry(
-      [&] { return take_once(wire::MsgType::kTryTake, id, out); });
-}
-
-Status Client::wait(RequestId id, Completion* out) {
-  if (!resilient()) return take_once(wire::MsgType::kWait, id, out);
-  return with_retry([&] { return take_once(wire::MsgType::kWait, id, out); });
-}
-
 Status Client::schedule(SessionId id, const ScheduleRequest& request,
                         ScheduleResult* out) {
   if (!resilient()) return schedule_once(id, request, out);
-  return with_retry([&] {
-    // Safe to re-execute: scheduling is deterministic, so a retry after a
-    // lost reply recomputes bitwise the same result.
-    SessionId remote;
-    if (Status t = translate(id, &remote); !t.ok()) return t;
-    return schedule_once(remote, request, out);
-  });
+  // Safe to re-execute: scheduling is deterministic, so a retry after a
+  // lost reply recomputes bitwise the same result.
+  return with_retry([&] { return schedule_once(id, request, out); });
 }
 
 StatusOr<SessionId> Client::create_session_once(const SessionConfig& cfg) {
@@ -422,51 +391,10 @@ Status Client::destroy_session_once(SessionId id) {
   return st;
 }
 
-StatusOr<RequestId> Client::submit_once(SessionId id,
-                                        const ScheduleRequest& request) {
-  std::vector<std::uint8_t> f;
-  const std::uint64_t tag = next_tag_++;
-  if (Status s = wire::encode_submit(f, wire::MsgType::kSubmit, tag, id,
-                                     request);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = send_raw(f.data(), f.size()); !s.ok()) return s;
-  wire::Header h;
-  std::vector<std::uint8_t> p;
-  if (Status s = recv_frame(&h, &p); !s.ok()) return s;
-  if (h.type != wire::MsgType::kSubmitReply || h.tag != tag) {
-    return protocol("expected kSubmitReply");
-  }
-  wire::Reader r(p.data(), p.size());
-  Status st;
-  std::uint64_t rid = 0;
-  if (Status s = wire::decode_submit_reply(r, &st, &rid); !s.ok()) return s;
-  if (!st.ok()) return st;
-  return RequestId{rid};
-}
-
-Status Client::take_once(wire::MsgType type, RequestId id, Completion* out) {
-  std::vector<std::uint8_t> f;
-  const std::uint64_t tag = next_tag_++;
-  wire::encode_take(f, type, tag, id.value);
-  if (Status s = send_raw(f.data(), f.size()); !s.ok()) return s;
-  std::uint64_t rtag = 0;
-  Status st = recv_completion(&rtag, out);
-  if (st.ok() && rtag != tag) return protocol("mismatched reply tag");
-  return st;
-}
-
 Status Client::schedule_once(SessionId id, const ScheduleRequest& request,
                              ScheduleResult* out) {
   const std::uint64_t tag = next_tag_++;
-  std::vector<std::uint8_t> f;
-  if (Status s = wire::encode_submit(f, wire::MsgType::kSchedule, tag, id,
-                                     request);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = send_raw(f.data(), f.size()); !s.ok()) return s;
+  if (Status s = send_schedule(id, request, tag); !s.ok()) return s;
   std::uint64_t rtag = 0;
   Completion c;
   if (Status s = recv_completion(&rtag, &c); !s.ok()) return s;
@@ -478,10 +406,13 @@ Status Client::schedule_once(SessionId id, const ScheduleRequest& request,
 
 Status Client::send_schedule(SessionId id, const ScheduleRequest& request,
                              std::uint64_t tag) {
+  // A resilient client's handles are its own: the frame must carry the id
+  // the current server issued, or it addresses another tenant's slot.
+  if (resilient()) {
+    if (Status t = translate(id, &id); !t.ok()) return t;
+  }
   std::vector<std::uint8_t> f;
-  if (Status s = wire::encode_submit(f, wire::MsgType::kSchedule, tag, id,
-                                     request);
-      !s.ok()) {
+  if (Status s = wire::encode_schedule(f, tag, id, request); !s.ok()) {
     return s;
   }
   return send_raw(f.data(), f.size());

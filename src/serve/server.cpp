@@ -283,47 +283,21 @@ bool Server::dispatch(const std::shared_ptr<Conn>& conn, const wire::Header& h,
       write_frame(conn, out);
       return true;
     }
-    case wire::MsgType::kSubmit:
     case wire::MsgType::kSchedule: {
       SessionId sid;
       wire::DecodedRequest req;
-      if (Status s = wire::decode_submit(r, &sid, &req); !s.ok()) {
+      if (Status s = wire::decode_schedule(r, &sid, &req); !s.ok()) {
         wire::encode_status_reply(out, h.tag, s);
         write_frame(conn, out);
         return false;
       }
       core::StatusOr<RequestId> rid = daemon_.submit(sid, req.view());
-      if (h.type == wire::MsgType::kSubmit) {
-        wire::encode_submit_reply(out, h.tag,
-                                  rid.ok() ? Status::Ok() : rid.status(),
-                                  rid.ok() ? rid.value().value : 0);
-        write_frame(conn, out);
-        return true;
-      }
       if (!rid.ok()) {
         wire::encode_completion_reply(out, h.tag, rid.status(), nullptr);
         write_frame(conn, out);
         return true;
       }
       defer_completion(conn, h.tag, rid.value().value);
-      return true;
-    }
-    case wire::MsgType::kTryTake:
-    case wire::MsgType::kWait: {
-      std::uint64_t id;
-      if (Status s = wire::decode_take(r, &id); !s.ok()) {
-        wire::encode_status_reply(out, h.tag, s);
-        write_frame(conn, out);
-        return false;
-      }
-      if (h.type == wire::MsgType::kWait) {
-        defer_completion(conn, h.tag, id);
-        return true;
-      }
-      Completion c;
-      Status s = daemon_.try_take(RequestId{id}, &c);
-      wire::encode_completion_reply(out, h.tag, s, s.ok() ? &c : nullptr);
-      write_frame(conn, out);
       return true;
     }
     default: {
@@ -351,9 +325,7 @@ void Server::defer_completion(const std::shared_ptr<Conn>& conn,
   if (s.code() == StatusCode::kUnavailable) return;  // the hook delivers
   {
     std::lock_guard<std::mutex> l(route_mu_);
-    // A kNotFound whose route is already gone lost to a concurrent
-    // kWait's mark: the delivery pass answers this tag with the result.
-    if (routes_.erase(id) == 0 && !s.ok()) return;
+    routes_.erase(id);
   }
   std::vector<std::uint8_t> out;
   wire::encode_completion_reply(out, tag, s, s.ok() ? &c : nullptr);

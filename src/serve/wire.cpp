@@ -21,17 +21,13 @@ Status malformed(const char* what) {
                 std::string("malformed frame: ") + what);
 }
 
-bool valid_request_type(MsgType t) {
+bool known_type(MsgType t) {
   switch (t) {
     case MsgType::kCreateSession:
     case MsgType::kDestroySession:
-    case MsgType::kSubmit:
     case MsgType::kSchedule:
-    case MsgType::kTryTake:
-    case MsgType::kWait:
     case MsgType::kStatusReply:
     case MsgType::kSessionReply:
-    case MsgType::kSubmitReply:
     case MsgType::kCompletionReply:
       return true;
   }
@@ -119,7 +115,7 @@ Status decode_header(const std::uint8_t* buf, Header* out) {
   r.u64(&out->tag);
   if (version != kVersion) return malformed("unsupported version byte");
   if (reserved != 0) return malformed("nonzero reserved bytes");
-  if (!valid_request_type(static_cast<MsgType>(type))) {
+  if (!known_type(static_cast<MsgType>(type))) {
     return malformed("unknown message type");
   }
   if (out->payload_len > kMaxPayloadBytes) {
@@ -216,9 +212,8 @@ Status decode_destroy_session(Reader& r, SessionId* id) {
   return finish(r);
 }
 
-Status encode_submit(std::vector<std::uint8_t>& out, MsgType type,
-                     std::uint64_t tag, SessionId id,
-                     const ScheduleRequest& request) {
+Status encode_schedule(std::vector<std::uint8_t>& out, std::uint64_t tag,
+                       SessionId id, const ScheduleRequest& request) {
   if (request.stream != nullptr) {
     return Status(StatusCode::kInvalidArgument,
                   "stream requests are not wire-encodable: a "
@@ -245,11 +240,11 @@ Status encode_submit(std::vector<std::uint8_t>& out, MsgType type,
       for (const trace::Job& j : seq) put_job(p, j);
     }
   }
-  append_frame(out, type, tag, p.data(), p.size());
+  append_frame(out, MsgType::kSchedule, tag, p.data(), p.size());
   return Status::Ok();
 }
 
-Status decode_submit(Reader& r, SessionId* id, DecodedRequest* out) {
+Status decode_schedule(Reader& r, SessionId* id, DecodedRequest* out) {
   std::uint8_t kind;
   std::uint8_t backfill;
   std::int32_t procs;
@@ -259,7 +254,7 @@ Status decode_submit(Reader& r, SessionId* id, DecodedRequest* out) {
   if (!r.u32(&id->index) || !r.u32(&id->gen) || !r.u8(&kind) ||
       !r.i32(&procs) || !r.u8(&backfill) || !r.u64(&chunk) ||
       !r.f64(&deadline) || !r.u32(&nseq)) {
-    return malformed("truncated submit");
+    return malformed("truncated schedule");
   }
   if (kind > 1) return malformed("unknown request kind");
   if (backfill > 1) return malformed("non-boolean backfill byte");
@@ -297,18 +292,6 @@ Status decode_submit(Reader& r, SessionId* id, DecodedRequest* out) {
   return finish(r);
 }
 
-void encode_take(std::vector<std::uint8_t>& out, MsgType type,
-                 std::uint64_t tag, std::uint64_t request_id) {
-  std::vector<std::uint8_t> p;
-  put_u64(p, request_id);
-  append_frame(out, type, tag, p.data(), p.size());
-}
-
-Status decode_take(Reader& r, std::uint64_t* request_id) {
-  if (!r.u64(request_id)) return malformed("truncated take");
-  return finish(r);
-}
-
 void encode_status_reply(std::vector<std::uint8_t>& out, std::uint64_t tag,
                          const Status& status) {
   std::vector<std::uint8_t> p;
@@ -336,23 +319,6 @@ Status decode_session_reply(Reader& r, Status* status, SessionId* id) {
   if (Status s = get_status(r, status); !s.ok()) return s;
   if (status->ok() && (!r.u32(&id->index) || !r.u32(&id->gen))) {
     return malformed("truncated session id");
-  }
-  return finish(r);
-}
-
-void encode_submit_reply(std::vector<std::uint8_t>& out, std::uint64_t tag,
-                         const Status& status, std::uint64_t request_id) {
-  std::vector<std::uint8_t> p;
-  put_status(p, status);
-  if (status.ok()) put_u64(p, request_id);
-  append_frame(out, MsgType::kSubmitReply, tag, p.data(), p.size());
-}
-
-Status decode_submit_reply(Reader& r, Status* status,
-                           std::uint64_t* request_id) {
-  if (Status s = get_status(r, status); !s.ok()) return s;
-  if (status->ok() && !r.u64(request_id)) {
-    return malformed("truncated request id");
   }
   return finish(r);
 }

@@ -47,32 +47,6 @@ long env_long(const char* name, long fallback, long min_value,
   return parsed;
 }
 
-double env_double(const char* name, double fallback, double min_value,
-                  double max_value) {
-  const char* v = raw(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
-    warn(name, v, "not a number, using default");
-    return fallback;
-  }
-  if (errno == ERANGE) {
-    warn(name, v, "out of range, using default");
-    return fallback;
-  }
-  if (parsed < min_value) {
-    warn(name, v, "below minimum, clamping");
-    return min_value;
-  }
-  if (parsed > max_value) {
-    warn(name, v, "above maximum, clamping");
-    return max_value;
-  }
-  return parsed;
-}
-
 std::string env_string(const char* name, const std::string& fallback) {
   const char* v = raw(name);
   return v != nullptr ? std::string(v) : fallback;

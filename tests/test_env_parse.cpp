@@ -13,7 +13,6 @@ void put(const char* name, const char* value) { setenv(name, value, 1); }
 }  // namespace
 
 int main() {
-  using rlsched::util::env_double;
   using rlsched::util::env_long;
   using rlsched::util::env_string;
 
@@ -46,12 +45,6 @@ int main() {
   CHECK(env_long("RLSCHED_TEST_VAR", 42, 0) == 0);
   put("RLSCHED_TEST_VAR", "1000000");
   CHECK(env_long("RLSCHED_TEST_VAR", 42, 0, 100) == 100);
-
-  // Doubles follow the same contract.
-  put("RLSCHED_TEST_VAR", "2.75");
-  CHECK_NEAR(env_double("RLSCHED_TEST_VAR", 1.0), 2.75, 1e-12);
-  put("RLSCHED_TEST_VAR", "nope");
-  CHECK_NEAR(env_double("RLSCHED_TEST_VAR", 1.0), 1.0, 1e-12);
 
   // Strings pass through untouched.
   put("RLSCHED_TEST_VAR", "model_dir/x");

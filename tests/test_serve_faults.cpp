@@ -426,12 +426,19 @@ int main() {
     req.jobs = &seqs[5];
     req.backfill = true;
     req.deadline_seconds = 0.002;
-    auto rid = client.submit(sid.value(), req);
-    CHECK(rid.ok());
+    CHECK(client.send_schedule(sid.value(), req, 1).ok());
+    // The deadline starts at admission: wait for the server to submit the
+    // frame, then let the budget run out.
+    for (int i = 0; i < 2000 && daemon.stats().requests_submitted == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    CHECK(daemon.stats().requests_submitted == 1);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     daemon.start();  // admission now finds the deadline long gone
+    std::uint64_t tag = 0;
     Completion c;
-    CHECK(client.wait(rid.value(), &c).ok());
+    CHECK(client.recv_completion(&tag, &c).ok());
+    CHECK(tag == 1);
     CHECK(c.status.code() == StatusCode::kDeadlineExceeded);
 
     // Same request without the pause and a generous deadline: served.
@@ -446,6 +453,59 @@ int main() {
     daemon.shutdown(1.0);
     const auto stats = daemon.stats();
     CHECK(stats.requests_expired == 1);
+    check_balance(daemon);
+  }
+
+  // --- 6. a resilient client's pipelined frames carry the server's id ----
+  {
+    // Another client creates and destroys a session first, so the server
+    // recycles slot 0 at generation 2 while the resilient client's own
+    // (virtual) handle is {0, 1}: a frame carrying the virtual handle would
+    // address a stale slot here, and another tenant's session on a busier
+    // server.
+    Daemon daemon(daemon_config(4));
+    const std::uint32_t pid = daemon.register_policy(*policy);
+    serve::Server server(daemon, {});
+    CHECK(server.status().ok());
+    SessionConfig sc;
+    sc.processors = procs;
+    sc.policy = pid;
+    {
+      serve::Client other;
+      CHECK(other.connect("127.0.0.1", server.port()).ok());
+      auto gone = other.create_session(sc);
+      CHECK(gone.ok());
+      CHECK(other.destroy_session(gone.value()).ok());
+    }
+
+    serve::ClientConfig ccfg;
+    ccfg.retry.max_attempts = 3;
+    ccfg.retry.seed = seed;
+    serve::Client client(ccfg);
+    CHECK(client.connect({{"127.0.0.1", server.port()}}).ok());
+    auto sid = client.create_session(sc);
+    CHECK(sid.ok());
+    CHECK(sid.value().index == 0 && sid.value().gen == 1);
+    ScheduleRequest req;
+    req.jobs = &seqs[6];
+    req.backfill = true;
+    ScheduleResult out;
+    CHECK(client.schedule(sid.value(), req, &out).ok());
+    CHECK(sim::bitwise_equal(out.run(), expect[6]));
+    CHECK(client.send_schedule(sid.value(), req, 9).ok());
+    std::uint64_t tag = 0;
+    Completion c;
+    CHECK(client.recv_completion(&tag, &c).ok());
+    CHECK(tag == 9);
+    CHECK(c.status.ok());
+    CHECK(sim::bitwise_equal(c.result.run(), expect[6]));
+    // A handle this client never issued is refused locally.
+    CHECK(client.send_schedule(serve::SessionId{7, 1}, req, 10).code() ==
+          StatusCode::kNotFound);
+
+    client.close();
+    server.stop();
+    daemon.shutdown(1.0);
     check_balance(daemon);
   }
 

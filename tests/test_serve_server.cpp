@@ -1,20 +1,22 @@
 // serve::Server against live loopback sockets:
-//   1. Transport invariance — every schedule/submit+wait/pipelined result
+//   1. Transport invariance — every blocking and pipelined schedule
 //      through the socket is BITWISE identical to the same request served
 //      by an in-process Daemon (and to the engine's BatchedEvaluator
 //      reference): the wire adds framing, never computation.
 //   2. Malformed-frame matrix — bad version, nonzero reserved, unknown
-//      type, oversized declared length, truncated payloads, trailing
-//      garbage, hostile counts, reply types sent to the server, mid-frame
-//      disconnects: each earns a kInvalidArgument reply (where a reply is
-//      possible) and a close, and the server keeps serving everyone else.
+//      and retired types, oversized declared length, truncated payloads,
+//      trailing garbage, hostile counts, reply types sent to the server,
+//      mid-frame disconnects: each earns a kInvalidArgument reply (where a
+//      reply is possible) naming the fault, and a close, and the server
+//      keeps serving everyone else.
 //   3. Lifecycle — a dropped connection's sessions are destroyed and its
 //      deferred replies leave nothing stored in the daemon; errors
-//      (unknown ids, stale handles, invalid configs) cross the wire with
-//      their core::Status code and message intact.
+//      (stale handles, invalid configs) cross the wire with their
+//      core::Status code and message intact.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -55,9 +57,11 @@ DaemonConfig daemon_config(std::size_t batch, std::size_t dispatchers) {
 }
 
 /// Open a fresh connection, fire one raw byte blob, and expect the server
-/// to answer kInvalidArgument (a StatusReply) and then hang up.
+/// to answer kInvalidArgument (a StatusReply) with `message`, then hang
+/// up. The message pins WHICH check rejected the frame: a frame built for
+/// one guard must not be caught by an earlier one.
 void expect_rejected(std::uint16_t port, const std::vector<std::uint8_t>& raw,
-                     const char* what) {
+                     const std::string& message) {
   Client c;
   CHECK(c.connect("127.0.0.1", port).ok());
   CHECK(c.send_raw(raw.data(), raw.size()).ok());
@@ -65,9 +69,10 @@ void expect_rejected(std::uint16_t port, const std::vector<std::uint8_t>& raw,
   Status st;
   CHECK(c.recv_reply(&h, &st).ok());
   CHECK(h.type == wire::MsgType::kStatusReply);
-  if (st.code() != StatusCode::kInvalidArgument) {
-    std::fprintf(stderr, "case %s: got code %d (%s)\n", what,
-                 static_cast<int>(st.code()), st.message().c_str());
+  if (st.code() != StatusCode::kInvalidArgument || st.message() != message) {
+    std::fprintf(stderr, "expected '%s', got code %d (%s)\n",
+                 message.c_str(), static_cast<int>(st.code()),
+                 st.message().c_str());
     CHECK(false);
   }
   // The connection is closed behind the reply: the next read hits EOF.
@@ -161,20 +166,18 @@ int main() {
       CHECK(sim::bitwise_equal(out.run(), inproc[i]));
     }
 
-    // --- 1b. submit + wait, and the consumed-completion contract -------
+    // --- 1b. one send_schedule + recv_completion: the pushed reply ------
     ScheduleRequest req;
     req.jobs = &seqs[0];
     req.backfill = true;
-    auto rid = c.submit(sid.value(), req);
-    CHECK(rid.ok());
+    CHECK(c.send_schedule(sid.value(), req, 77).ok());
+    std::uint64_t tag = 0;
     Completion comp;
-    CHECK(c.wait(rid.value(), &comp).ok());
+    CHECK(c.recv_completion(&tag, &comp).ok());
+    CHECK(tag == 77);
     CHECK(comp.status.ok());
     CHECK(comp.latency_seconds >= 0.0);
     CHECK(sim::bitwise_equal(comp.result.run(), inproc[0]));
-    // wait() consumed it: a second take is kNotFound, code intact.
-    CHECK(c.try_take(rid.value(), &comp).code() == StatusCode::kNotFound);
-    CHECK(c.wait(rid.value(), &comp).code() == StatusCode::kNotFound);
 
     // --- 1c. multi-sequence batch over the wire -------------------------
     std::vector<std::vector<trace::Job>> batch = {seqs[1], seqs[2], seqs[3]};
@@ -213,7 +216,10 @@ int main() {
     ScheduleRequest sreq;
     auto stream_trace = workload::make_trace("Lublin-1", 16, 7);
     sreq.stream = &stream_trace;
-    CHECK(c.submit(sid.value(), sreq).status().code() ==
+    ScheduleResult sout;
+    CHECK(c.schedule(sid.value(), sreq, &sout).code() ==
+          StatusCode::kInvalidArgument);
+    CHECK(c.send_schedule(sid.value(), sreq, 1).code() ==
           StatusCode::kInvalidArgument);
     // Invalid session config crosses with its code.
     SessionConfig bad;
@@ -225,67 +231,83 @@ int main() {
     bad_policy.processors = procs;
     bad_policy.policy = 999;
     CHECK(c.create_session(bad_policy).status().code() == StatusCode::kNotFound);
-    // Unknown request id / stale session handle.
-    CHECK(c.try_take(RequestId{987654321}, &comp).code() ==
-          StatusCode::kNotFound);
+    // Stale session handle: the refused schedule is answered at once,
+    // with the daemon's code and message.
     CHECK(c.destroy_session(sid.value()).ok());
     CHECK(c.destroy_session(sid.value()).code() == StatusCode::kNotFound);
-    CHECK(c.submit(sid.value(), req).status().code() == StatusCode::kNotFound);
+    ScheduleResult stale;
+    const Status gone = c.schedule(sid.value(), req, &stale);
+    CHECK(gone.code() == StatusCode::kNotFound);
+    CHECK(gone.message() == "unknown or stale session");
     c.close();
   }
   CHECK(wait_for_live_sessions(daemon, 0));
 
   // --- 2. malformed-frame matrix (each on its own connection) -----------
   {
+    // A valid 8-byte-payload frame (destroy of a session nobody has) for
+    // the header and length cases to corrupt.
     std::vector<std::uint8_t> valid;
-    wire::encode_take(valid, wire::MsgType::kTryTake, 7, 123);
+    wire::encode_destroy_session(valid, 7, SessionId{1, 23});
 
     auto copy = valid;
     copy[4] = 3;  // future version byte
-    expect_rejected(server.port(), copy, "bad version");
+    expect_rejected(server.port(), copy,
+                    "malformed frame: unsupported version byte");
     copy = valid;
     copy[6] = 0xFF;  // nonzero reserved
-    expect_rejected(server.port(), copy, "nonzero reserved");
-    copy = valid;
-    copy[5] = 0;  // type 0 never assigned
-    expect_rejected(server.port(), copy, "unknown type");
+    expect_rejected(server.port(), copy,
+                    "malformed frame: nonzero reserved bytes");
+    // Type 0 was never assigned; 3, 5, 6 and 66 are retired.
+    for (const int type : {0, 3, 5, 6, 66}) {
+      copy = valid;
+      copy[5] = static_cast<std::uint8_t>(type);
+      expect_rejected(server.port(), copy,
+                      "malformed frame: unknown message type");
+    }
     copy = valid;
     const std::uint32_t huge = wire::kMaxPayloadBytes + 1;
     std::memcpy(copy.data(), &huge, 4);  // hostile declared length
-    expect_rejected(server.port(), copy, "oversized length");
+    expect_rejected(server.port(), copy,
+                    "malformed frame: declared payload exceeds 64 MiB cap");
 
     // Reply types are not requests; the server refuses to echo them.
     std::vector<std::uint8_t> reply_frame;
     wire::encode_status_reply(reply_frame, 9, Status::Ok());
-    expect_rejected(server.port(), reply_frame, "reply type to server");
+    expect_rejected(server.port(), reply_frame,
+                    "reply message type sent to the server");
 
     // Truncated payload behind a self-consistent header.
     std::vector<std::uint8_t> short_payload = {1, 2, 3, 4};
     std::vector<std::uint8_t> frame;
-    wire::append_frame(frame, wire::MsgType::kTryTake, 7,
+    wire::append_frame(frame, wire::MsgType::kDestroySession, 7,
                        short_payload.data(), short_payload.size());
-    expect_rejected(server.port(), frame, "truncated take payload");
+    expect_rejected(server.port(), frame,
+                    "malformed frame: truncated destroy_session");
 
     // Trailing garbage after a complete payload.
     frame = valid;
     frame.push_back(0xAB);
     std::uint32_t len = 8 + 1;
     std::memcpy(frame.data(), &len, 4);
-    expect_rejected(server.port(), frame, "trailing garbage");
+    expect_rejected(server.port(), frame,
+                    "malformed frame: trailing bytes after payload");
 
-    // Submit with a hostile job count (4 billion jobs, zero bytes).
+    // Schedule with a hostile job count (4 billion jobs, zero bytes).
     std::vector<std::uint8_t> p;
-    wire::put_u32(p, 1);
-    wire::put_u32(p, 1);
-    wire::put_u8(p, 0);
-    wire::put_i32(p, 0);
-    wire::put_u8(p, 0);
-    wire::put_u64(p, 4096);
-    wire::put_u32(p, 1);
-    wire::put_u32(p, 0xFFFFFFFF);
+    wire::put_u32(p, 1);           // session index
+    wire::put_u32(p, 1);           // gen
+    wire::put_u8(p, 0);            // kind: single
+    wire::put_i32(p, 0);           // processors
+    wire::put_u8(p, 0);            // backfill
+    wire::put_u64(p, 4096);        // chunk_jobs
+    wire::put_f64(p, 0.0);         // deadline
+    wire::put_u32(p, 1);           // nseq
+    wire::put_u32(p, 0xFFFFFFFF);  // njobs
     frame.clear();
-    wire::append_frame(frame, wire::MsgType::kSubmit, 7, p.data(), p.size());
-    expect_rejected(server.port(), frame, "hostile job count");
+    wire::append_frame(frame, wire::MsgType::kSchedule, 7, p.data(), p.size());
+    expect_rejected(server.port(), frame,
+                    "malformed frame: job count exceeds payload");
 
     // Mid-frame disconnect: half a header, then gone. No reply to read —
     // the gate is that the server survives (checked right below).
@@ -297,8 +319,8 @@ int main() {
       CHECK(c.send_raw(half, sizeof(half)).ok());
       c.close();
     }
-    // Ten hostile connections later: a fresh client still gets bitwise
-    // correct service.
+    // After every hostile connection above, a fresh client still gets
+    // bitwise correct service.
     Client c;
     CHECK(c.connect("127.0.0.1", server.port()).ok());
     SessionConfig sc;
@@ -341,20 +363,26 @@ int main() {
     auto sa = a.create_session(sc);
     auto sb = b.create_session(sc);
     CHECK(sa.ok() && sb.ok());
-    // A client cannot take a completion belonging to someone else's
-    // request id namespace mixup: ids are global, but a consumed take is
-    // consumed exactly once.
-    ScheduleRequest req;
-    req.jobs = &seqs[5];
-    req.backfill = true;
-    auto rid = a.submit(sa.value(), req);
-    CHECK(rid.ok());
+    // Both clients pick the SAME tag: each completion still goes back on
+    // the connection whose frame asked for it, with that frame's result.
+    ScheduleRequest ra;
+    ra.jobs = &seqs[5];
+    ra.backfill = true;
+    ScheduleRequest rb;
+    rb.jobs = &seqs[6];
+    rb.backfill = true;
+    CHECK(a.send_schedule(sa.value(), ra, 5).ok());
+    CHECK(b.send_schedule(sb.value(), rb, 5).ok());
+    std::uint64_t tag = 0;
     Completion comp;
-    CHECK(a.wait(rid.value(), &comp).ok());
+    CHECK(b.recv_completion(&tag, &comp).ok());
+    CHECK(tag == 5 && comp.status.ok());
+    CHECK(sim::bitwise_equal(comp.result.run(), inproc[6]));
+    CHECK(a.recv_completion(&tag, &comp).ok());
+    CHECK(tag == 5 && comp.status.ok());
     CHECK(sim::bitwise_equal(comp.result.run(), inproc[5]));
-    CHECK(b.try_take(rid.value(), &comp).code() == StatusCode::kNotFound);
     ScheduleResult out;
-    CHECK(b.schedule(sb.value(), req, &out).ok());
+    CHECK(b.schedule(sb.value(), ra, &out).ok());
     CHECK(sim::bitwise_equal(out.run(), inproc[5]));
     a.close();
     b.close();

@@ -7,8 +7,8 @@
 //   2. Malformed-frame matrix — the decoder survives, with a clean
 //      kInvalidArgument, every prefix truncation of every valid frame,
 //      trailing garbage, hostile declared lengths/counts, bad version and
-//      reserved bytes, unknown types/kinds — never a crash or a wild read
-//      (ASan is the other half of this test in CI).
+//      reserved bytes, unknown and retired types, unknown kinds — never a
+//      crash or a wild read (ASan is the other half of this test in CI).
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -104,16 +104,14 @@ int main() {
     const SessionId sid{7, 42};
 
     std::vector<std::uint8_t> frame;
-    CHECK(wire::encode_submit(frame, wire::MsgType::kSubmit, 0xDEADBEEFCAFEULL,
-                              sid, req)
-              .ok());
+    CHECK(wire::encode_schedule(frame, 0xDEADBEEFCAFEULL, sid, req).ok());
     const wire::Header h = checked_header(frame);
-    CHECK(h.type == wire::MsgType::kSubmit);
+    CHECK(h.type == wire::MsgType::kSchedule);
     CHECK(h.tag == 0xDEADBEEFCAFEULL);
     wire::Reader r = payload_reader(frame, h);
     SessionId got_sid;
     wire::DecodedRequest got;
-    CHECK(wire::decode_submit(r, &got_sid, &got).ok());
+    CHECK(wire::decode_schedule(r, &got_sid, &got).ok());
     CHECK(got_sid.index == 7 && got_sid.gen == 42);
     CHECK(got.single);
     CHECK(got.processors == 256);
@@ -143,15 +141,13 @@ int main() {
     req.sequences = &seqs;
     req.backfill = false;
     std::vector<std::uint8_t> frame;
-    CHECK(wire::encode_submit(frame, wire::MsgType::kSchedule, 1, SessionId{},
-                              req)
-              .ok());
+    CHECK(wire::encode_schedule(frame, 1, SessionId{}, req).ok());
     const wire::Header h = checked_header(frame);
     CHECK(h.type == wire::MsgType::kSchedule);
     wire::Reader r = payload_reader(frame, h);
     SessionId got_sid;
     wire::DecodedRequest got;
-    CHECK(wire::decode_submit(r, &got_sid, &got).ok());
+    CHECK(wire::decode_schedule(r, &got_sid, &got).ok());
     CHECK(!got.single);
     CHECK(got.sequences.size() == 3);
     CHECK(got.sequences[0].size() == 5);
@@ -177,13 +173,12 @@ int main() {
     ScheduleRequest req;
     req.stream = &src;
     std::vector<std::uint8_t> frame;
-    CHECK(wire::encode_submit(frame, wire::MsgType::kSubmit, 1, SessionId{},
-                              req)
-              .code() == StatusCode::kInvalidArgument);
+    CHECK(wire::encode_schedule(frame, 1, SessionId{}, req).code() ==
+          StatusCode::kInvalidArgument);
     CHECK(frame.empty());
   }
 
-  // ---------- 1b. session / take / reply round trips ----------
+  // ---------- 1b. session and reply round trips ----------
   {
     SessionConfig cfg;
     cfg.processors = 1024;
@@ -205,16 +200,6 @@ int main() {
     SessionId got;
     CHECK(wire::decode_destroy_session(r, &got).ok());
     CHECK(got.index == 5 && got.gen == 9);
-  }
-  {
-    std::vector<std::uint8_t> frame;
-    wire::encode_take(frame, wire::MsgType::kWait, 13, 0xFFFFFFFFFFFFFFFFULL);
-    const wire::Header h = checked_header(frame);
-    CHECK(h.type == wire::MsgType::kWait);
-    wire::Reader r = payload_reader(frame, h);
-    std::uint64_t id;
-    CHECK(wire::decode_take(r, &id).ok());
-    CHECK(id == 0xFFFFFFFFFFFFFFFFULL);
   }
 
   // ---------- 1c. Status matrix: every code, with/without message ----------
@@ -261,7 +246,7 @@ int main() {
     }
   }
   {
-    // Session/submit replies carry their payload ONLY on OK.
+    // Session replies carry their handle ONLY on OK.
     std::vector<std::uint8_t> frame;
     wire::encode_session_reply(frame, 1, Status::Ok(), SessionId{3, 4});
     wire::Header h = checked_header(frame);
@@ -279,14 +264,6 @@ int main() {
     wire::Reader r2 = payload_reader(frame, h);
     CHECK(wire::decode_session_reply(r2, &st, &sid).ok());
     CHECK(st.code() == StatusCode::kResourceExhausted);
-
-    frame.clear();
-    wire::encode_submit_reply(frame, 2, Status::Ok(), 77);
-    h = checked_header(frame);
-    wire::Reader r3 = payload_reader(frame, h);
-    std::uint64_t rid;
-    CHECK(wire::decode_submit_reply(r3, &st, &rid).ok());
-    CHECK(st.ok() && rid == 77);
   }
   {
     // Completion reply: RunResult doubles round-trip BITWISE.
@@ -320,23 +297,22 @@ int main() {
     for (std::size_t k = 0; k < 3; ++k) {
       CHECK(sim::bitwise_equal(out.result.runs[k], in.result.runs[k]));
     }
-    // Failed take: no completion body on the wire at all.
+    // A schedule the daemon refused: no completion body on the wire.
     frame.clear();
-    wire::encode_completion_reply(frame, 32,
-                                  Status(StatusCode::kUnavailable, "pending"),
-                                  nullptr);
+    wire::encode_completion_reply(
+        frame, 32, Status(StatusCode::kNotFound, "unknown session"), nullptr);
     const wire::Header h2 = checked_header(frame);
     wire::Reader r2 = payload_reader(frame, h2);
     Completion none;
     CHECK(wire::decode_completion_reply(r2, &st, &none).ok());
-    CHECK(st.code() == StatusCode::kUnavailable);
+    CHECK(st.code() == StatusCode::kNotFound);
     CHECK(none.result.runs.empty());
   }
 
   // ---------- 2a. header rejection matrix ----------
   {
     std::vector<std::uint8_t> frame;
-    wire::encode_take(frame, wire::MsgType::kTryTake, 5, 123);
+    wire::encode_destroy_session(frame, 5, SessionId{1, 23});
     wire::Header h;
 
     auto copy = frame;
@@ -356,6 +332,12 @@ int main() {
     CHECK(!wire::decode_header(copy.data(), &h).ok());
     copy[5] = 200;  // unassigned high type
     CHECK(!wire::decode_header(copy.data(), &h).ok());
+    // Retired types stay unknown: they are never reused.
+    for (const int retired : {3, 5, 6, 66}) {
+      copy[5] = static_cast<std::uint8_t>(retired);
+      CHECK(wire::decode_header(copy.data(), &h).code() ==
+            StatusCode::kInvalidArgument);
+    }
 
     copy = frame;
     copy[6] = 1;  // reserved bytes must be zero
@@ -383,26 +365,19 @@ int main() {
     std::vector<std::vector<trace::Job>> seqs = {jobs, {}, jobs};
     ScheduleRequest req;
     req.sequences = &seqs;
-    std::vector<std::vector<std::uint8_t>> frames;
-    {
-      std::vector<std::uint8_t> f;
-      CHECK(wire::encode_submit(f, wire::MsgType::kSubmit, 1, SessionId{1, 1},
-                                req)
-                .ok());
-      frames.push_back(f);
-      f.clear();
-      wire::encode_create_session(f, 2, SessionConfig{8, 0});
-      frames.push_back(f);
-      f.clear();
-      Completion c;
-      c.result.runs.resize(2);
-      wire::encode_completion_reply(f, 3, Status::Ok(), &c);
-      frames.push_back(f);
-      f.clear();
-      wire::encode_session_reply(f, 4, Status(StatusCode::kNotFound, "nope"),
-                                 SessionId{});
-      frames.push_back(f);
-    }
+    // One frame of each of the six message types.
+    std::vector<std::vector<std::uint8_t>> frames(6);
+    CHECK(wire::encode_schedule(frames[0], 1, SessionId{1, 1}, req).ok());
+    wire::encode_create_session(frames[1], 2, SessionConfig{8, 0});
+    wire::encode_destroy_session(frames[2], 3, SessionId{4, 5});
+    Completion c;
+    c.result.runs.resize(2);
+    wire::encode_completion_reply(frames[3], 4, Status::Ok(), &c);
+    wire::encode_session_reply(frames[4], 5,
+                               Status(StatusCode::kNotFound, "nope"),
+                               SessionId{});
+    wire::encode_status_reply(frames[5], 6,
+                              Status(StatusCode::kCancelled, "gone"));
     for (const auto& frame : frames) {
       const wire::Header h = checked_header(frame);
       // Decode the payload at every truncated length: each must fail with
@@ -412,17 +387,19 @@ int main() {
         wire::Reader r(frame.data() + wire::kHeaderBytes, cut);
         Status st;
         SessionId sid;
-        std::uint64_t rid;
         SessionConfig cfg;
         wire::DecodedRequest dreq;
         Completion comp;
         Status s;
         switch (h.type) {
-          case wire::MsgType::kSubmit:
-            s = wire::decode_submit(r, &sid, &dreq);
+          case wire::MsgType::kSchedule:
+            s = wire::decode_schedule(r, &sid, &dreq);
             break;
           case wire::MsgType::kCreateSession:
             s = wire::decode_create_session(r, &cfg);
+            break;
+          case wire::MsgType::kDestroySession:
+            s = wire::decode_destroy_session(r, &sid);
             break;
           case wire::MsgType::kCompletionReply:
             s = wire::decode_completion_reply(r, &st, &comp);
@@ -430,8 +407,8 @@ int main() {
           case wire::MsgType::kSessionReply:
             s = wire::decode_session_reply(r, &st, &sid);
             break;
-          default:
-            s = wire::decode_take(r, &rid);
+          case wire::MsgType::kStatusReply:
+            s = wire::decode_status_reply(r, &st);
             break;
         }
         CHECK(s.code() == StatusCode::kInvalidArgument);
@@ -443,12 +420,13 @@ int main() {
   {
     // Trailing garbage after a well-formed payload is malformed.
     std::vector<std::uint8_t> frame;
-    wire::encode_take(frame, wire::MsgType::kTryTake, 5, 1);
+    wire::encode_destroy_session(frame, 5, SessionId{1, 1});
     frame.push_back(0xAB);
     wire::Reader r(frame.data() + wire::kHeaderBytes,
                    frame.size() - wire::kHeaderBytes);
-    std::uint64_t id;
-    CHECK(wire::decode_take(r, &id).code() == StatusCode::kInvalidArgument);
+    SessionId sid;
+    CHECK(wire::decode_destroy_session(r, &sid).code() ==
+          StatusCode::kInvalidArgument);
   }
   {
     // A declared job count far beyond the payload must be rejected BEFORE
@@ -467,7 +445,7 @@ int main() {
     wire::Reader r(p.data(), p.size());
     SessionId sid;
     wire::DecodedRequest dreq;
-    CHECK(wire::decode_submit(r, &sid, &dreq).code() ==
+    CHECK(wire::decode_schedule(r, &sid, &dreq).code() ==
           StatusCode::kInvalidArgument);
   }
   {
@@ -484,7 +462,7 @@ int main() {
     wire::Reader r(p.data(), p.size());
     SessionId sid;
     wire::DecodedRequest dreq;
-    CHECK(wire::decode_submit(r, &sid, &dreq).code() ==
+    CHECK(wire::decode_schedule(r, &sid, &dreq).code() ==
           StatusCode::kInvalidArgument);
   }
   {
@@ -505,7 +483,7 @@ int main() {
       wire::Reader r(p.data(), p.size());
       SessionId sid;
       wire::DecodedRequest dreq;
-      CHECK(wire::decode_submit(r, &sid, &dreq).code() ==
+      CHECK(wire::decode_schedule(r, &sid, &dreq).code() ==
             StatusCode::kInvalidArgument);
     }
   }
@@ -532,7 +510,7 @@ int main() {
       wire::Reader r(p.data(), p.size());
       SessionId sid;
       wire::DecodedRequest dreq;
-      CHECK(wire::decode_submit(r, &sid, &dreq).code() ==
+      CHECK(wire::decode_schedule(r, &sid, &dreq).code() ==
             StatusCode::kInvalidArgument);
     }
   }
@@ -571,9 +549,7 @@ int main() {
       }
       ScheduleRequest req;
       req.jobs = &jobs;
-      CHECK(wire::encode_submit(frame, wire::MsgType::kSubmit, 7,
-                                SessionId{1, 1}, req)
-                .ok());
+      CHECK(wire::encode_schedule(frame, 7, SessionId{1, 1}, req).ok());
     }
     struct Case {
       const char* name;
