@@ -145,8 +145,8 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "batched inference engine (SIMD lanes %zu, pool %zu"
-               " windows, seed %llu)\n",
-               nn::kSimdLanes, kPool,
+               " windows of %.2f jobs on average, seed %llu)\n",
+               nn::kSimdLanes, kPool, bench::mean_occupancy(pool),
                static_cast<unsigned long long>(seed));
   std::fprintf(stderr, "%-16s %14s %14s %14s %10s\n", "path",
                "B=1 dec/s", "B=8 dec/s", "B=32 dec/s", "32 vs 1");

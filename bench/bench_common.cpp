@@ -117,6 +117,12 @@ ObsPool make_pool(std::uint64_t seed) {
   return pool;
 }
 
+double mean_occupancy(const ObsPool& pool) {
+  double jobs = 0.0;
+  for (const rl::Observation& o : pool.obs) jobs += o.count;
+  return jobs / static_cast<double>(pool.obs.size());
+}
+
 Scale bench_scale() {
   // Every knob goes through the validated parser: garbage falls back to
   // the default, and values destined for std::size_t are clamped

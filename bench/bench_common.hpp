@@ -96,9 +96,11 @@ class Report {
   std::vector<std::string> failed_;
 };
 
-/// Observation windows the inference benches time: decision points from a
-/// congested SDSC-SP2 episode, every window full of real pending jobs like
-/// the Table IX measurement.
+/// Observation windows the inference benches time: the first decision
+/// points of an SDSC-SP2 episode that always picks slot 0. That episode
+/// is not congested: every window holds exactly one job, so the kernel
+/// policy scores its narrowest live prefix on each (mean_occupancy says
+/// how full a pool is).
 inline constexpr std::size_t kPoolWindows = 160;  // divisible by 8 and 32
 
 struct ObsPool {
@@ -107,6 +109,9 @@ struct ObsPool {
 };
 
 ObsPool make_pool(std::uint64_t seed);
+
+/// Mean jobs per window (Observation::count) over the pool.
+double mean_occupancy(const ObsPool& pool);
 
 /// Best-of-3 decisions/sec of `sweep`, one pass over the pool per call.
 /// Throughput on a shared host dips under neighbour interference but never

@@ -147,8 +147,9 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "decision latency: f32 vs int8 (quant isa %s, SIMD lanes "
-               "%zu, pool %zu windows, seed %llu)\n",
+               "%zu, pool %zu windows of %.2f jobs on average, seed %llu)\n",
                nn::quant_isa(), nn::kSimdLanes, kPool,
+               bench::mean_occupancy(pool),
                static_cast<unsigned long long>(seed));
   std::fprintf(stderr, "%-14s %14s %14s %12s %12s\n", "path", "B=1 dec/s",
                "B=32 dec/s", "B=1 us/dec", "B=32 us/dec");

@@ -1,14 +1,15 @@
 #pragma once
 // Batched greedy inference over the scheduling environment.
 //
-// The kernel policy scores one 128-job observation window per forward pass;
-// evaluation sweeps pay full weight traffic per window. This layer packs B
-// pending decision points — one per live environment — into ONE forward
-// whose job axis spans B x 128 (see Policy::logits_batch), then unpacks a
-// per-window masked argmax. Batching is invisible in the results: every
-// logits row is bitwise identical to the unbatched forward of that window,
-// so actions, schedules, and metrics match the one-env-at-a-time path
-// exactly (tests/test_batched_inference.cpp gates this at B in {1,3,8,32}).
+// A policy scores one observation window per forward pass; evaluation
+// sweeps pay full weight traffic per window. This layer packs B pending
+// decision points — one per live environment — into ONE batched forward
+// (see Policy::logits_batch), then unpacks a per-window masked argmax over
+// each window's `count` occupied slots. Batching is invisible in the
+// results: every logits row is bitwise identical to the unbatched forward
+// of that window, so actions, schedules, and metrics match the
+// one-env-at-a-time path exactly (tests/test_batched_inference.cpp gates
+// this at B in {1,3,8,32}).
 //
 // The evaluator advances its environments in lockstep: each iteration
 // builds observations for the still-running envs, scores them in one

@@ -26,6 +26,11 @@ inline constexpr std::size_t kMaxObservable = sim::kMaxObservable;
 ///   5: valid-slot bias (1 for real jobs, 0 for padding)
 inline constexpr std::size_t kJobFeatures = 6;
 
+/// Invariant: slots at and past `count` hold zero features and a zero
+/// mask. The kernel policy scores only a prefix of slots past `count` and
+/// gives the rest that prefix's last logit, and the greedy argmax scans
+/// `count` slots, so both rely on it. ObservationBuilder is the only
+/// producer.
 struct Observation {
   /// SoA: features[f * kMaxObservable + j] is feature f of window slot j.
   std::array<float, kJobFeatures * kMaxObservable> features;

@@ -62,6 +62,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -280,9 +281,11 @@ class Daemon {
     bool ready = false;    ///< queued in its shard's ready deque
     SessionConfig cfg;
     /// Attached by the dispatcher at admit, returned to the pool when the
-    /// session goes idle — an idle session costs its queue, not an env.
+    /// session goes idle — an idle session costs its Slot, not an env.
     std::unique_ptr<sim::SchedulingEnv> env;
-    std::deque<PendingRequest> queue;
+    /// A list, not a deque: an empty std::deque allocates a map and a
+    /// node, which an idle session table would pay per session.
+    std::list<PendingRequest> queue;
 
     // Episode state, touched only by the owning shard while `active`.
     PendingRequest current;

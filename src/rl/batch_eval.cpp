@@ -8,13 +8,14 @@ namespace rlsched::rl {
 
 namespace {
 
-/// Per-window masked argmax over a window-major logits slab.
+/// Per-window masked argmax over a window-major logits slab. Slots past a
+/// window's count are masked (see Observation), so the scan stops there.
 void argmax_rows(const Observation* const* obs, std::size_t n,
                  const float* logits_slab, std::uint32_t* actions) {
   for (std::size_t k = 0; k < n; ++k) {
     actions[k] = static_cast<std::uint32_t>(
         nn::argmax_masked(logits_slab + k * kMaxObservable,
-                          obs[k]->mask.data(), kMaxObservable));
+                          obs[k]->mask.data(), obs[k]->count));
   }
 }
 

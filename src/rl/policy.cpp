@@ -37,15 +37,26 @@ void transpose(const float* src, std::size_t rows, std::size_t cols,
   }
 }
 
+/// The slots [0, c) of a window holding `count` jobs that the kernel policy
+/// scores: the jobs plus at least one padding slot, rounded up to whole
+/// forward microtiles, so every column runs the microtile code a 128-wide
+/// pass runs. Padding slots hold zero features (see Observation), so they
+/// all get slot c - 1's logit.
+std::size_t live_width(std::uint32_t count) {
+  constexpr std::size_t tile = nn::kTileVecs * nn::kSimdLanes;
+  static_assert(kMaxObservable % tile == 0);
+  return std::min(kMaxObservable, (count + tile) / tile * tile);
+}
+
 // ---------------------------------------------------------------------------
 // Kernel network: shared per-job MLP {features, 32, 16, 8, 1} evaluated as
 // batched dense layers over the SoA job axis — one GEMM-shaped pass scores
-// all 128 window slots at once.
+// a window's live prefix (live_width slots; the rest copy its last logit).
 //
 // Batched entry points use WINDOW-BLOCKED scheduling: each window runs the
-// full layer stack with its ~29 KB activation block L1-resident, writing
-// into its slice of a window-major activation slab (retained for the
-// paired backward). The alternative — one contiguous J = B x 128 job axis
+// full layer stack with its activation block (at most ~32 KB) L1-resident,
+// writing into its slice of a window-major activation slab (retained for
+// the paired backward). The alternative — one contiguous J = B x 128 job axis
 // through every layer, which the nn/ kernels fully support — was measured
 // ~1.5x SLOWER here: this net's weights are ~6 KB (nothing to amortize,
 // the batched win that carries the value net and the MLP baselines), while
@@ -69,8 +80,10 @@ class KernelPolicy final : public Policy {
       act_off_[l - 1] = act_unit_;
       act_unit_ += kLayers[l] * kMaxObservable;
     }
-    act_.resize(act_unit_);
     dact_.resize(act_unit_);
+    x_off_ = act_unit_;
+    act_unit_ += kLayers[0] * kMaxObservable;
+    act_.resize(act_unit_);
     const std::size_t last = kLayers.size() - 2;
     for (std::size_t l = 0; l + 1 < kLayers.size(); ++l) {
       const float scale = std::sqrt(2.0f / static_cast<float>(kLayers[l])) *
@@ -86,9 +99,11 @@ class KernelPolicy final : public Policy {
                     float* out) const override {
     ensure_batch(n);
     for (std::size_t k = 0; k < n; ++k) {
-      const float* top = forward_window(obs[k]->features.data(), k);
-      std::memcpy(out + k * kMaxObservable, top,
-                  kMaxObservable * sizeof(float));
+      const std::size_t c = live_width(obs[k]->count);
+      const float* top = forward_window(obs[k]->features.data(), k, c);
+      float* row = out + k * kMaxObservable;
+      std::memcpy(row, top, c * sizeof(float));
+      std::fill(row + c, row + kMaxObservable, top[c - 1]);
     }
   }
 
@@ -99,8 +114,19 @@ class KernelPolicy final : public Policy {
                       float* gparams) const override {
     for (std::size_t k = 0; k < n; ++k) {
       if (win_active != nullptr && win_active[k] == 0) continue;
-      backward_window(obs[k]->features.data(), k,
-                      dlogits + k * kMaxObservable, gparams);
+      const float* dl = dlogits + k * kMaxObservable;
+      // Past c every dlogit is +-0 (the PPO loss puts none on masked
+      // slots), so those slots' products are +-0 and every gradient sum,
+      // which starts at +0, is the full-width one bit for bit. A gradient
+      // on a slot past c needs that slot's activations: re-score the
+      // window at full width first.
+      std::size_t c = live_width(obs[k]->count);
+      if (std::any_of(dl + c, dl + kMaxObservable,
+                      [](float d) { return d != 0.0f; })) {
+        c = kMaxObservable;
+        (void)forward_window(obs[k]->features.data(), k, c);
+      }
+      backward_window(k, c, dl, gparams);
     }
   }
 
@@ -121,17 +147,21 @@ class KernelPolicy final : public Policy {
     // Static activation scales: amax over the calibration set of each
     // layer's float input (features, then each relu output), spread over
     // the full u8 range. Unit scales when uncalibrated keep the mapping
-    // deterministic (just coarse).
+    // deterministic (just coarse). The live prefix holds a padding slot
+    // whenever one exists, so its amax is the full window's.
     std::array<float, 4> amax{};
     for (std::size_t s = 0; s < n; ++s) {
       const float* f = calib[s]->features.data();
-      for (std::size_t i = 0; i < kLayers[0] * J; ++i) {
-        amax[0] = std::max(amax[0], f[i]);
+      const std::size_t c = live_width(calib[s]->count);
+      for (std::size_t i = 0; i < kLayers[0]; ++i) {
+        for (std::size_t j = 0; j < c; ++j) {
+          amax[0] = std::max(amax[0], f[i * J + j]);
+        }
       }
-      (void)forward_window(f, 0);  // fills window 0's activation slab
+      (void)forward_window(f, 0, c);  // fills window 0's activation slab
       for (std::size_t l = 0; l + 1 < layers; ++l) {
         const float* h = act_.data() + act_off_[l];
-        for (std::size_t i = 0; i < kLayers[l + 1] * J; ++i) {
+        for (std::size_t i = 0; i < kLayers[l + 1] * c; ++i) {
           amax[l + 1] = std::max(amax[l + 1], h[i]);
         }
       }
@@ -199,7 +229,8 @@ class KernelPolicy final : public Policy {
       return;
     }
     for (std::size_t k = 0; k < n; ++k) {
-      quant_window(obs[k]->features.data(), out + k * kMaxObservable);
+      quant_window(obs[k]->features.data(), live_width(obs[k]->count),
+                   out + k * kMaxObservable);
     }
   }
 
@@ -210,69 +241,78 @@ class KernelPolicy final : public Policy {
     act_.resize(act_unit_ * n);
   }
 
-  /// Full layer stack over window k's 128 slots; activations land in the
-  /// window's slab block (retained for backward_window).
-  const float* forward_window(const float* features, std::size_t k) const {
-    constexpr std::size_t J = kMaxObservable;
+  /// Full layer stack over window k's first c slots, at row stride c: their
+  /// features are packed into the window's slab block, beside every
+  /// layer's activations (both retained for backward_window). Returns the
+  /// c logits.
+  const float* forward_window(const float* features, std::size_t k,
+                              std::size_t c) const {
     float* base = act_.data() + k * act_unit_;
-    const float* in = features;
+    float* x = base + x_off_;
+    for (std::size_t i = 0; i < kLayers[0]; ++i) {
+      std::memcpy(x + i * c, features + i * kMaxObservable,
+                  c * sizeof(float));
+    }
+    const float* in = x;
     for (std::size_t l = 0; l + 1 < kLayers.size(); ++l) {
       float* out = base + act_off_[l];
       nn::dense_batch_forward(params_.data() + w_off_[l],
                               params_.data() + b_off_[l], in, out,
-                              kLayers[l + 1], kLayers[l], J,
+                              kLayers[l + 1], kLayers[l], c,
                               /*relu=*/l + 2 < kLayers.size());
       in = out;
     }
     return in;
   }
 
-  /// Pairs with the latest forward_window(features, k). Gradient scratch is
-  /// shared across windows (backwards run sequentially); gW/gb reductions
-  /// use the order-stable lane order of nn::dense_batch_backward.
-  void backward_window(const float* features, std::size_t k,
-                       const float* dlogits, float* gparams) const {
-    constexpr std::size_t J = kMaxObservable;
+  /// Pairs with the latest forward_window(features, k, c). Gradient scratch
+  /// is shared across windows (backwards run sequentially); gW/gb
+  /// reductions use the order-stable lane order of nn::dense_batch_backward.
+  void backward_window(std::size_t k, std::size_t c, const float* dlogits,
+                       float* gparams) const {
     const std::size_t layers = kLayers.size() - 1;
     const float* base = act_.data() + k * act_unit_;
     std::memcpy(dact_.data() + act_off_[layers - 1], dlogits,
-                J * sizeof(float));
+                c * sizeof(float));
     for (std::size_t l = layers; l-- > 0;) {
-      const float* a_in = l == 0 ? features : base + act_off_[l - 1];
+      const float* a_in = base + (l == 0 ? x_off_ : act_off_[l - 1]);
       float* d_out = dact_.data() + act_off_[l];
       float* d_in = l == 0 ? nullptr : dact_.data() + act_off_[l - 1];
       nn::dense_batch_backward(params_.data() + w_off_[l], a_in,
                                base + act_off_[l], d_out, d_in,
                                gparams + w_off_[l], gparams + b_off_[l],
-                               kLayers[l + 1], kLayers[l], J,
+                               kLayers[l + 1], kLayers[l], c,
                                /*relu=*/l + 1 < layers);
     }
   }
 
-  /// One window through the quantized stack: quantize features, three
-  /// fused int8 hidden layers, dequantizing head into `out` (128 floats).
-  void quant_window(const float* features, float* out) const {
-    constexpr std::size_t J = kMaxObservable;
+  /// One window's first c slots through the quantized stack: quantize
+  /// features, three fused int8 hidden layers, dequantizing head into
+  /// `out`; slots c..127 copy slot c - 1's logit (128 floats in all).
+  void quant_window(const float* features, std::size_t c, float* out) const {
     std::uint8_t* cur = aq_ping_;
     std::uint8_t* nxt = aq_pong_;
-    nn::pack_acts_u8(features, kLayers[0], J, J, 1.0f / ascale_[0], cur);
+    nn::pack_acts_u8(features, kLayers[0], c, kMaxObservable,
+                     1.0f / ascale_[0], cur);
     for (std::size_t l = 0; l + 2 < kLayers.size(); ++l) {
       nn::quant_dense_hidden(cur, wq_[l].data(), kLayers[l + 1],
-                             nn::quant_groups(kLayers[l]), J, rshift_[l],
+                             nn::quant_groups(kLayers[l]), c, rshift_[l],
                              acc0_[l].data(), nxt);
       std::swap(cur, nxt);
     }
     const std::size_t last = kLayers.size() - 2;
     nn::quant_dense_f32(cur, wq_[last].data(), kLayers[last + 1],
-                        nn::quant_groups(kLayers[last]), J, mfinal_,
+                        nn::quant_groups(kLayers[last]), c, mfinal_,
                         params_.data() + b_off_[last], out);
+    std::fill(out + c, out + kMaxObservable, out[c - 1]);
   }
 
   static constexpr std::array<std::size_t, 5> kLayers = {kJobFeatures, 32,
                                                          16, 8, 1};
   std::array<std::size_t, 4> w_off_{}, b_off_{};
   std::array<std::size_t, 4> act_off_{};  ///< float offsets within a window
-  std::size_t act_unit_ = 0;              ///< activation floats per window
+  std::size_t x_off_ = 0;     ///< packed layer-0 input within a window
+  std::size_t act_unit_ = 0;  ///< slab floats per window
   mutable std::size_t batch_cap_ = 1;
   mutable std::vector<float> act_;   ///< window-major activation slab
   mutable std::vector<float> dact_;  ///< one window of gradient scratch

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "nn/ops.hpp"
 #include "rl/observation.hpp"
 #include "rl/ppo.hpp"
 #include "sim/env.hpp"
@@ -49,6 +50,30 @@ inline std::vector<rl::Observation> decision_windows(
     if (obs.count >= lo && obs.count <= hi) out.push_back(obs);
   }
   CHECK(out.size() == n);
+  return out;
+}
+
+/// One full decision window cut down to each count at which the kernel
+/// policy's scored prefix changes width: one job, either side of one
+/// forward microtile (T slots), and the last two slots. Past its count a
+/// cut window holds zero features and a zero mask, as ObservationBuilder
+/// leaves one.
+inline std::vector<rl::Observation> live_width_windows() {
+  constexpr auto K = static_cast<std::uint32_t>(rl::kMaxObservable);
+  constexpr auto T =
+      static_cast<std::uint32_t>(nn::kTileVecs * nn::kSimdLanes);
+  const rl::Observation full = decision_windows(1, K)[0];
+  std::vector<rl::Observation> out;
+  for (const std::uint32_t count : {1u, T - 1, T, T + 1, K - 1, K}) {
+    rl::Observation& obs = out.emplace_back(full);
+    obs.count = count;
+    for (std::size_t j = count; j < K; ++j) {
+      obs.mask[j] = 0;
+      for (std::size_t f = 0; f < rl::kJobFeatures; ++f) {
+        obs.features[f * K + j] = 0.0f;
+      }
+    }
+  }
   return out;
 }
 

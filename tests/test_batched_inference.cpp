@@ -4,6 +4,7 @@
 // unbatched (B=1) trainer, and evaluate_batch() reproduces the per-sequence
 // evaluate() results bit for bit. For every network, one masked backward
 // over a batch of windows equals one-window calls in window order, bitwise.
+// The kernel policy's live-prefix pass equals a full-width oracle, bitwise.
 // Also gates the zero-allocation discipline of the batched decision loop
 // (pack + B x 128 forward + per-window argmax) after warmup.
 #include <algorithm>
@@ -173,6 +174,116 @@ void check_masked_backward_equals_windows(rl::PolicyKind kind) {
                     [](float g) { return g != 0.0f; }));
 }
 
+/// The kernel policy's {features, 32, 16, 8, 1} stack run at the full
+/// 128-slot width straight through nn/ops.hpp, reading W then b per layer
+/// from the policy's flat parameters. forward() keeps every layer's output
+/// for the paired backward().
+class FullWidthKernel {
+ public:
+  explicit FullWidthKernel(const std::vector<float>& params)
+      : params_(params) {
+    std::size_t off = 0;
+    for (std::size_t l = 0; l < kDepth; ++l) {
+      off += kLayers[l] * kLayers[l + 1] + kLayers[l + 1];
+      act_[l].resize(kLayers[l + 1] * J);
+      dact_[l].resize(kLayers[l + 1] * J);
+    }
+    CHECK(off == params.size());
+  }
+
+  const float* forward(const float* features) {
+    const float* in = features;
+    for (std::size_t l = 0; l < kDepth; ++l) {
+      nn::dense_batch_forward(params_.data() + w_off(l),
+                              params_.data() + b_off(l), in,
+                              act_[l].data(), kLayers[l + 1], kLayers[l], J,
+                              /*relu=*/l + 1 < kDepth);
+      in = act_[l].data();
+    }
+    return in;
+  }
+
+  /// Pairs with the latest forward(features); accumulates into `grad`.
+  void backward(const float* features, const float* dlogits, float* grad) {
+    std::copy(dlogits, dlogits + J, dact_[kDepth - 1].begin());
+    for (std::size_t l = kDepth; l-- > 0;) {
+      nn::dense_batch_backward(
+          params_.data() + w_off(l), l == 0 ? features : act_[l - 1].data(),
+          act_[l].data(), dact_[l].data(),
+          l == 0 ? nullptr : dact_[l - 1].data(), grad + w_off(l),
+          grad + b_off(l), kLayers[l + 1], kLayers[l], J,
+          /*relu=*/l + 1 < kDepth);
+    }
+  }
+
+ private:
+  static constexpr std::size_t J = rl::kMaxObservable, kDepth = 4;
+  static constexpr std::size_t kLayers[kDepth + 1] = {rl::kJobFeatures, 32,
+                                                      16, 8, 1};
+  static std::size_t w_off(std::size_t l) {
+    std::size_t off = 0;
+    for (std::size_t i = 0; i < l; ++i) {
+      off += kLayers[i] * kLayers[i + 1] + kLayers[i + 1];
+    }
+    return off;
+  }
+  static std::size_t b_off(std::size_t l) {
+    return w_off(l) + kLayers[l] * kLayers[l + 1];
+  }
+  const std::vector<float>& params_;
+  std::vector<float> act_[kDepth], dact_[kDepth];
+};
+
+// The kernel policy scores only a window's live prefix. At each count where
+// the prefix changes width, one batch over those windows yields all 128
+// logits of every window bitwise equal to the full-width pass, and the
+// gradient equals the full-width backward's: with dlogits +-0 past `count`
+// (as PPO's are, the compact backward) and with dlogits on every slot (the
+// full-width fallback).
+void check_live_prefix_matches_full_width() {
+  constexpr std::size_t K = rl::kMaxObservable;
+  util::Rng rng(43);
+  const auto policy =
+      rl::make_policy(rl::PolicyKind::Kernel, rl::kMaxObservable, rng);
+  const std::vector<rl::Observation> obs = test::live_width_windows();
+  const std::size_t n = obs.size();
+  std::vector<const rl::Observation*> ptr;
+  for (const rl::Observation& o : obs) ptr.push_back(&o);
+  FullWidthKernel oracle(policy->param_vector());
+
+  std::vector<float> logits(n * K);
+  policy->logits_batch(ptr.data(), n, logits.data());
+  for (std::size_t k = 0; k < n; ++k) {
+    CHECK(std::memcmp(logits.data() + k * K,
+                      oracle.forward(obs[k].features.data()),
+                      K * sizeof(float)) == 0);
+  }
+
+  const std::size_t np = policy->parameter_count();
+  for (const bool every_slot : {false, true}) {
+    std::vector<float> dlogits(n * K);
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t j = 0; j < K; ++j) {
+        dlogits[k * K + j] = every_slot || j < obs[k].count
+                                 ? static_cast<float>(rng.normal())
+                                 : (k % 2 == 0 ? 0.0f : -0.0f);
+      }
+    }
+    std::vector<float> got(np, 0.0f), want(np, 0.0f);
+    policy->logits_batch(ptr.data(), n, logits.data());
+    policy->backward_batch(ptr.data(), n, dlogits.data(), nullptr,
+                           got.data());
+    for (std::size_t k = 0; k < n; ++k) {
+      const float* features = obs[k].features.data();
+      (void)oracle.forward(features);
+      oracle.backward(features, dlogits.data() + k * K, want.data());
+    }
+    CHECK(std::memcmp(got.data(), want.data(), np * sizeof(float)) == 0);
+    CHECK(std::any_of(got.begin(), got.end(),
+                      [](float g) { return g != 0.0f; }));
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -188,6 +299,7 @@ int main() {
         rl::PolicyKind::MlpV3, rl::PolicyKind::LeNet}) {
     check_masked_backward_equals_windows(kind);
   }
+  check_live_prefix_matches_full_width();
   check_eval_batch_invariance();
   check_batched_decision_zero_alloc();
   std::puts("batched inference bitwise invariance + zero-alloc: OK");

@@ -21,7 +21,10 @@
 //     per-logit error bound vs float32, >= 99.9% masked-argmax agreement
 //     on decisive windows (float top-2 gap beyond the bound), bounded
 //     regret on every window, with the batched quant rows bitwise equal
-//     to the unbatched quant forward.
+//     to the unbatched quant forward;
+//   * the live prefix: at each window count where the scored prefix
+//     changes width, batched rows equal one-window rows and every slot
+//     past `count` carries the zero-feature slot's logit.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -34,6 +37,7 @@
 #include "rl/observation.hpp"
 #include "rl/policy.hpp"
 #include "rl/ppo.hpp"
+#include "rl_fixtures.hpp"
 #include "sim/env.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -259,6 +263,29 @@ std::vector<rl::Observation> collect_observations(const rl::Policy& policy,
   return out;
 }
 
+// The quantized pass scores a window's live prefix too. At each count where
+// the prefix changes width, batched rows equal one-window rows, bitwise,
+// and every slot past `count` carries one logit, in every window: a
+// zero-feature slot's (window 0's last slot).
+void check_quant_live_prefix(const rl::Policy& policy) {
+  constexpr std::size_t K = rl::kMaxObservable;
+  const std::vector<rl::Observation> obs = test::live_width_windows();
+  const std::size_t n = obs.size();
+  std::vector<const rl::Observation*> ptrs;
+  for (const rl::Observation& o : obs) ptrs.push_back(&o);
+  std::vector<float> batched(n * K), row(K);
+  policy.logits_quant_batch(ptrs.data(), n, batched.data());
+  for (std::size_t k = 0; k < n; ++k) {
+    const float* got = batched.data() + k * K;
+    policy.logits_quant_batch(&ptrs[k], 1, row.data());
+    CHECK(std::memcmp(got, row.data(), K * sizeof(float)) == 0);
+    for (std::size_t j = obs[k].count; j < K; ++j) {
+      CHECK(std::memcmp(got + j, batched.data() + K - 1, sizeof(float)) ==
+            0);
+    }
+  }
+}
+
 void test_policy_quant() {
   // A briefly-trained policy, not the random init: argmax agreement is
   // only meaningful for a policy with actual preferences. The 0.01-scaled
@@ -327,6 +354,7 @@ void test_policy_quant() {
   rl::batched_argmax_quant(*policy, ptrs.data(), B, slab.data(),
                            actions.data());
   CHECK(std::memcmp(slab.data(), first.data(), B * K * sizeof(float)) == 0);
+  check_quant_live_prefix(*policy);
 
   // Accuracy. Per-tensor int8 through four layers carries an error floor
   // of a few percent of the logit range, so raw argmax equality over ALL
