@@ -301,6 +301,9 @@ class Daemon {
   struct Shard {
     std::size_t id = 0;               ///< index into shards_
     std::deque<std::uint32_t> ready;  ///< mu_-guarded
+    /// Set under mu_ whenever `ready` gains an entry; the dispatcher reads
+    /// it without mu_ to skip the lock on a pass with nothing to admit.
+    std::atomic<bool> has_ready{false};
     std::size_t queued = 0;           ///< mu_-guarded admissible requests
     /// mu_-guarded shard-wide submission order, maintained only under
     /// ShedPolicy::kShedOldest with a queue bound: (slot index, request
@@ -314,6 +317,9 @@ class Daemon {
     std::mutex dispatch_mu;
     std::vector<std::vector<Slot*>> active_by_policy;
     std::vector<Slot*> admit_scratch;
+    /// Requests this shard finished since it last held mu_: completed in
+    /// one batch under one lock (settle_locked) instead of one lock each.
+    std::vector<std::pair<Slot*, core::Status>> finished;
     std::size_t run_completed = 0;
     rl::ObservationBuilder builder;
     std::vector<rl::Observation> obs;
@@ -339,6 +345,7 @@ class Daemon {
   void step_active_once(Shard& shard);
   static bool any_active(const Shard& shard);
   void finish_request(Shard& shard, Slot& slot, core::Status status);
+  void settle_locked(Shard& shard);  ///< mu_ held
   void release_slot_locked(Slot& slot);  ///< mu_ held
 
   /// One entry per issued request, from submit() until its completion is

@@ -11,7 +11,9 @@
 //   register conn in epoll             connection: exactly one thread
 //                                      drains and dispatches a given
 //                                      connection at a time (no per-frame
-//                                      locking), rearmed after each drain
+//                                      locking), rearmed after each drain;
+//                                      SCHED_BATCH, so their wakeups never
+//                                      preempt a busy dispatcher
 //
 // Requests dispatch straight into the shared serve::Daemon (which runs
 // its own dispatcher shards); replies are written inline by the event

@@ -194,6 +194,7 @@ StatusOr<RequestId> Daemon::submit(SessionId id,
   if (!slot->active && !slot->ready) {
     slot->ready = true;
     shard.ready.push_back(slot->index);
+    shard.has_ready.store(true, std::memory_order_release);
   }
   shard.work_cv.notify_one();
   return rid;
@@ -442,6 +443,10 @@ std::size_t Daemon::run_until_idle(
     if (!any_active(shard)) break;
     step_active_once(shard);
   }
+  if (!shard.finished.empty()) {
+    std::lock_guard<std::mutex> l(mu_);
+    settle_locked(shard);
+  }
   return shard.run_completed;
 }
 
@@ -454,8 +459,14 @@ bool Daemon::any_active(const Shard& shard) {
 
 void Daemon::admit_ready_sessions(Shard& shard) {
   shard.admit_scratch.clear();
+  if (shard.finished.empty() &&
+      !shard.has_ready.load(std::memory_order_acquire)) {
+    return;
+  }
   {
     std::lock_guard<std::mutex> l(mu_);
+    settle_locked(shard);
+    shard.has_ready.store(false, std::memory_order_relaxed);
     if (shard.active_by_policy.size() < policies_.size()) {
       shard.active_by_policy.resize(policies_.size());
     }
@@ -630,27 +641,37 @@ void Daemon::step_active_once(Shard& shard) {
 }
 
 void Daemon::finish_request(Shard& shard, Slot& slot, Status status) {
-  std::lock_guard<std::mutex> l(mu_);
-  complete_locked(slot.current.id, slot.current.submitted, std::move(status),
-                  std::move(slot.partial));
-  slot.partial = ScheduleResult{};
-  slot.current = PendingRequest{};  // drop the owned job copies now
-  slot.active = false;
-  slot.policy = nullptr;
-  ++shard.run_completed;
-  if (slot.closing) {
-    release_slot_locked(slot);
-    return;
-  }
-  if (!slot.queue.empty()) {
-    if (!slot.ready) {
-      slot.ready = true;
-      shard.ready.push_back(slot.index);
+  // Completed at the shard's next hold of mu_ (the next admit pass, or
+  // the end of run_until_idle): one lock per sweep, not one per request.
+  // The slot stays active until then, so nothing else touches it.
+  shard.finished.emplace_back(&slot, std::move(status));
+}
+
+void Daemon::settle_locked(Shard& shard) {
+  for (auto& [slot, status] : shard.finished) {
+    complete_locked(slot->current.id, slot->current.submitted,
+                    std::move(status), std::move(slot->partial));
+    slot->partial = ScheduleResult{};
+    slot->current = PendingRequest{};  // drop the owned job copies now
+    slot->active = false;
+    slot->policy = nullptr;
+    ++shard.run_completed;
+    if (slot->closing) {
+      release_slot_locked(*slot);
+      continue;
     }
-  } else if (slot.env) {
-    // Session idles: detach its env so the table scales past the pool.
-    env_pool_.push_back(std::move(slot.env));
+    if (!slot->queue.empty()) {
+      if (!slot->ready) {
+        slot->ready = true;
+        shard.ready.push_back(slot->index);
+        shard.has_ready.store(true, std::memory_order_release);
+      }
+    } else if (slot->env) {
+      // Session idles: detach its env so the table scales past the pool.
+      env_pool_.push_back(std::move(slot->env));
+    }
   }
+  shard.finished.clear();
 }
 
 void Daemon::release_slot_locked(Slot& slot) {
